@@ -8,9 +8,10 @@
 //! 1. **SRAM bit flips** — transient weight-bit and membrane-word upsets
 //!    at ≥ 4 rates on both the 6T and 4-port cells, via
 //!    [`EsamSystem::infer_checked`] in [`IntegrityMode::Detect`]: reads
-//!    are delivered raw (the accuracy curve is identical to the old
-//!    `infer_faulted` sweep) while the SECDED syndrome path *counts*
-//!    what struck — the corrected / uncorrectable / silent columns.
+//!    are delivered raw (the accuracy curve is identical to the
+//!    integrity-`Off` oracle-restore sweep) while the SECDED syndrome
+//!    path *counts* what struck — the corrected / uncorrectable / silent
+//!    columns.
 //!    "Accuracy" is agreement with the unfaulted baseline's predictions
 //!    on the same frames; fault sites are nested across rates by
 //!    construction (same seed, higher threshold), so the degradation

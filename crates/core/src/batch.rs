@@ -245,7 +245,7 @@ impl BatchEngine {
         self.run_workers(frames, |_, chunk_start, chunk, worker| {
             let mut results = Vec::with_capacity(chunk.len());
             for (offset, frame) in chunk.iter().enumerate() {
-                results.push(worker.infer_faulted(frame, (chunk_start + offset) as u64)?);
+                results.push(worker.infer_checked(frame, (chunk_start + offset) as u64)?);
             }
             collected
                 .lock()

@@ -30,6 +30,15 @@ pub enum CoreError {
         /// Received width.
         got: usize,
     },
+    /// A caller-provided output buffer was mis-shaped for the call.
+    BufferMismatch {
+        /// Which buffer dimension disagreed (e.g. `"cycles length"`).
+        buffer: &'static str,
+        /// Size the call needed.
+        expected: usize,
+        /// Size the caller provided.
+        got: usize,
+    },
     /// Invalid system configuration.
     InvalidConfig(String),
 }
@@ -52,6 +61,11 @@ impl fmt::Display for CoreError {
                     "input frame width mismatch: expected {expected}, got {got}"
                 )
             }
+            CoreError::BufferMismatch {
+                buffer,
+                expected,
+                got,
+            } => write!(f, "{buffer} mismatch: expected {expected}, got {got}"),
             CoreError::InvalidConfig(msg) => write!(f, "invalid system configuration: {msg}"),
         }
     }

@@ -61,6 +61,7 @@
 pub mod adder_tree;
 pub mod baselines;
 pub mod batch;
+pub mod cascade;
 pub mod config;
 pub mod error;
 pub mod learning;

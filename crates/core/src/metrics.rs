@@ -15,10 +15,7 @@
 //! [`SystemMetrics`] is then a *pure function* of (merged tally, merged
 //! counters, static system properties): the same merged integers go through
 //! the same float arithmetic, so a parallel measurement is **bit-identical**
-//! to the sequential one — not merely statistically equivalent. The
-//! float-level shortcut [`SystemMetrics::merge`] also exists for combining
-//! already-finalized metrics, but being float arithmetic it is exact only up
-//! to rounding; the engine always merges the integer state instead.
+//! to the sequential one — not merely statistically equivalent.
 
 use std::fmt;
 
@@ -184,81 +181,7 @@ impl SystemMetrics {
     pub fn throughput_minf_s(&self) -> f64 {
         self.throughput_inf_s / 1e6
     }
-
-    /// Combines two finalized measurements of the *same system* over
-    /// disjoint batches of `self_frames` and `other_frames` frames.
-    ///
-    /// Per-inference quantities are frame-weighted averages; throughput and
-    /// dynamic power are re-derived from the merged averages. This is the
-    /// closed-form counterpart of re-measuring the concatenated batch —
-    /// exact up to float rounding. The batch engine does **not** use this
-    /// shortcut: it merges the underlying integer tallies/counters and
-    /// finalizes once, which is bit-exact (see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when both frame counts are zero (an empty merge has no
-    /// meaning), or in debug builds when the static properties (clock,
-    /// area) differ — i.e. the measurements came from different systems.
-    pub fn merge(&self, other: &SystemMetrics, self_frames: u64, other_frames: u64) -> Self {
-        assert!(
-            self_frames + other_frames > 0,
-            "merging two empty measurements"
-        );
-        debug_assert_eq!(self.clock, other.clock, "metrics from different systems");
-        debug_assert_eq!(self.area, other.area, "metrics from different systems");
-        let total = (self_frames + other_frames) as f64;
-        let wa = self_frames as f64 / total;
-        let wb = other_frames as f64 / total;
-        let bottleneck_cycles = self.bottleneck_cycles * wa + other.bottleneck_cycles * wb;
-        let throughput = self.clock.value() / bottleneck_cycles;
-        let energy_per_inf = self.energy_per_inf * wa + other.energy_per_inf * wb;
-        let learning = match (&self.learning, &other.learning) {
-            (None, None) => None,
-            (a, b) => {
-                let a = a.unwrap_or(EMPTY_LEARNING);
-                let b = b.unwrap_or(EMPTY_LEARNING);
-                let samples = a.samples + b.samples;
-                let correct =
-                    (a.online_accuracy * a.samples as f64) + (b.online_accuracy * b.samples as f64);
-                Some(LearningSummary {
-                    samples,
-                    updates: a.updates + b.updates,
-                    online_accuracy: if samples == 0 {
-                        0.0
-                    } else {
-                        correct / samples as f64
-                    },
-                    cost: a.cost + b.cost,
-                })
-            }
-        };
-        SystemMetrics {
-            clock: self.clock,
-            bottleneck_cycles,
-            throughput_inf_s: throughput,
-            latency: self.latency * wa + other.latency * wb,
-            energy_per_inf,
-            dynamic_power: Watts::new(energy_per_inf.value() * throughput),
-            leakage_power: self.leakage_power,
-            area: self.area,
-            learning,
-        }
-    }
 }
-
-/// The identity element for [`LearningSummary`] folds.
-const EMPTY_LEARNING: LearningSummary = LearningSummary {
-    samples: 0,
-    updates: 0,
-    online_accuracy: 0.0,
-    cost: LearningCost {
-        cycles: 0,
-        latency: Seconds::ZERO,
-        energy: Joules::ZERO,
-        bits_flipped: 0,
-    },
-};
 
 impl fmt::Display for SystemMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -293,22 +216,6 @@ impl fmt::Display for SystemMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(bottleneck: f64, energy_pj: f64) -> SystemMetrics {
-        let clock = Hertz::from_mhz(810.0);
-        let throughput = clock.value() / bottleneck;
-        SystemMetrics {
-            clock,
-            bottleneck_cycles: bottleneck,
-            throughput_inf_s: throughput,
-            latency: Seconds::from_ns(80.0),
-            energy_per_inf: Joules::from_pj(energy_pj),
-            dynamic_power: Watts::new(Joules::from_pj(energy_pj).value() * throughput),
-            leakage_power: Watts::from_mw(2.3),
-            area: AreaUm2::new(20_000.0),
-            learning: None,
-        }
-    }
 
     #[test]
     fn tally_merge_is_plain_addition() {
@@ -378,20 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_merge_weights_by_frames() {
-        let a = sample(10.0, 100.0);
-        let b = sample(20.0, 400.0);
-        let merged = a.merge(&b, 1, 3);
-        assert!((merged.bottleneck_cycles - 17.5).abs() < 1e-12);
-        assert!((merged.energy_per_inf.pj() - 325.0).abs() < 1e-9);
-        // Throughput re-derived from the merged cycle count.
-        assert!((merged.throughput_inf_s - merged.clock.value() / 17.5).abs() < 1.0);
-        // Merging with itself at equal weight is the identity.
-        let same = a.merge(&a, 5, 5);
-        assert!((same.bottleneck_cycles - a.bottleneck_cycles).abs() < 1e-12);
-    }
-
-    #[test]
     fn totals_and_display() {
         let mut m = SystemMetrics {
             clock: Hertz::from_mhz(810.0),
@@ -424,29 +317,5 @@ mod tests {
         let text = m.to_string();
         assert!(text.contains("learning:"));
         assert!(text.contains("7 updates over 10 samples"));
-    }
-
-    #[test]
-    fn metrics_merge_folds_learning_summaries() {
-        let mut a = sample(10.0, 100.0);
-        a.learning = Some(LearningSummary {
-            samples: 4,
-            updates: 3,
-            online_accuracy: 0.5,
-            cost: LearningCost {
-                cycles: 24,
-                latency: Seconds::from_ns(30.0),
-                energy: Joules::from_pj(6.0),
-                bits_flipped: 9,
-            },
-        });
-        let b = sample(10.0, 100.0); // learning: None
-        let merged = a.merge(&b, 4, 4);
-        let learning = merged.learning.expect("one side learned");
-        assert_eq!(learning.samples, 4);
-        assert_eq!(learning.updates, 3);
-        assert_eq!(learning.cost.cycles, 24);
-        assert!((learning.online_accuracy - 0.5).abs() < 1e-12);
-        assert!(sample(10.0, 100.0).merge(&b, 1, 1).learning.is_none());
     }
 }

@@ -17,6 +17,7 @@ use esam_sram::{IntegrityMode, IntegrityTally};
 use esam_tech::units::{AreaUm2, Joules, Watts};
 
 use crate::batch::BatchEngine;
+use crate::cascade::{walk_block, walk_frame};
 use crate::config::{BatchConfig, SystemConfig};
 use crate::error::CoreError;
 use crate::learning::{LearningCost, OnlineLearningEngine, SampleOutcome};
@@ -59,6 +60,29 @@ pub struct TracedInference {
 }
 
 impl InferenceResult {
+    /// Reads a result out of the output layer: the logits are the output
+    /// membranes plus the converted biases — exactly the BNN logits (see
+    /// `esam_nn::convert`) — and the prediction is their argmax.
+    pub fn from_readout(
+        membranes: Vec<i32>,
+        output_bias: &[f32],
+        output_spikes: BitVec,
+        per_tile_cycles: Vec<u64>,
+    ) -> Self {
+        let logits: Vec<f32> = membranes
+            .iter()
+            .zip(output_bias)
+            .map(|(&m, &b)| m as f32 + b)
+            .collect();
+        Self {
+            prediction: argmax(&logits),
+            logits,
+            membranes,
+            output_spikes,
+            per_tile_cycles,
+        }
+    }
+
     /// Cycles of the slowest tile — the pipelined throughput limiter.
     pub fn bottleneck_cycles(&self) -> u64 {
         self.per_tile_cycles.iter().copied().max().unwrap_or(0)
@@ -202,7 +226,7 @@ impl EsamSystem {
     ///
     /// Returns [`CoreError::InputWidthMismatch`] for a wrong input width.
     pub fn infer(&mut self, input: &BitVec) -> Result<InferenceResult, CoreError> {
-        self.infer_core(input, None)
+        self.infer_frame(input, None)
     }
 
     /// Runs one inference and attributes its modeled cycles to per-layer
@@ -250,74 +274,36 @@ impl EsamSystem {
     /// Returns [`CoreError::InputWidthMismatch`] for a wrong input width.
     pub fn infer_traced(&mut self, input: &BitVec) -> Result<TracedInference, CoreError> {
         let mut layer_inputs = Vec::with_capacity(self.tiles.len());
-        let result = self.infer_core(input, Some(&mut layer_inputs))?;
+        let result = self.infer_frame(input, Some(&mut layer_inputs))?;
         Ok(TracedInference {
             result,
             layer_inputs,
         })
     }
 
-    /// The shared cascade walk behind [`infer`](Self::infer) and
-    /// [`infer_traced`](Self::infer_traced): `trace`, when present,
-    /// receives a clone of every tile's input frame.
-    fn infer_core(
+    /// [`walk_frame`] over the whole cascade, read out as a result — the
+    /// path behind [`infer`](Self::infer) and
+    /// [`infer_traced`](Self::infer_traced).
+    fn infer_frame(
         &mut self,
         input: &BitVec,
-        mut trace: Option<&mut Vec<BitVec>>,
+        layer_inputs: Option<&mut Vec<BitVec>>,
     ) -> Result<InferenceResult, CoreError> {
-        let expected = self.config.topology()[0];
-        if input.len() != expected {
-            return Err(CoreError::InputWidthMismatch {
-                expected,
-                got: input.len(),
-            });
-        }
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.clear();
-            trace.push(input.clone());
-        }
-        let tile_count = self.tiles.len();
-        let mut per_tile_cycles = Vec::with_capacity(tile_count);
+        let mut per_tile_cycles = Vec::with_capacity(self.tiles.len());
         let mut membranes = Vec::new();
-        let mut output_spikes = BitVec::new(0);
-        // The working frame: `None` until the first tile fires (the input
-        // is borrowed, never cloned, on the untraced path).
-        let mut frame: Option<BitVec> = None;
-        for (index, tile) in self.tiles.iter_mut().enumerate() {
-            let is_output = index + 1 == tile_count;
-            tile.inject(frame.as_ref().unwrap_or(input))?;
-            let mut cycles = 0u64;
-            while !tile.is_drained() {
-                tile.step()?;
-                cycles += 1;
-            }
-            if is_output {
-                membranes = tile.membranes().to_vec();
-            }
-            let fired = tile.finish_timestep();
-            cycles += 1;
-            per_tile_cycles.push(cycles);
-            if is_output {
-                output_spikes = fired;
-            } else {
-                if let Some(trace) = trace.as_deref_mut() {
-                    trace.push(fired.clone());
-                }
-                frame = Some(fired);
-            }
-        }
-        let logits: Vec<f32> = membranes
-            .iter()
-            .zip(&self.output_bias)
-            .map(|(&m, &b)| m as f32 + b)
-            .collect();
-        Ok(InferenceResult {
-            prediction: argmax(&logits),
-            logits,
+        let output_spikes = walk_frame(
+            &mut self.tiles,
+            input,
+            &mut per_tile_cycles,
+            Some(&mut membranes),
+            layer_inputs,
+        )?;
+        Ok(InferenceResult::from_readout(
             membranes,
+            &self.output_bias,
             output_spikes,
             per_tile_cycles,
-        })
+        ))
     }
 
     /// Installs a fault plan on this system.
@@ -328,7 +314,7 @@ impl EsamSystem {
     /// Installing a new plan (including [`FaultPlan::none`]) first reverts
     /// the previous plan's materialization, restoring the original weights
     /// exactly (flips are involutive). Transient faults (weight/membrane
-    /// flips) take effect in [`infer_faulted`](Self::infer_faulted);
+    /// flips) take effect in [`infer_checked`](Self::infer_checked);
     /// serve-/mesh-domain rates are carried but injected by those layers.
     ///
     /// Install the plan **before** cloning worker systems so every clone
@@ -391,8 +377,8 @@ impl EsamSystem {
     /// Toggles every weight bit the plan flips for `frame_id` and returns
     /// the flip count. Involutive: calling it a second time with the same
     /// `frame_id` restores the weights exactly — which is how
-    /// [`infer_faulted`](Self::infer_faulted) reverts a frame's transient
-    /// faults.
+    /// [`infer_checked`](Self::infer_checked) reverts a frame's transient
+    /// faults when integrity checking is off.
     fn toggle_frame_flips(&mut self, frame_id: u64) -> Result<u64, CoreError> {
         let mut flips = 0u64;
         for layer in 0..self.tiles.len() {
@@ -412,50 +398,14 @@ impl EsamSystem {
         Ok(flips)
     }
 
-    /// Runs one inference under the installed fault plan's *transient*
-    /// SRAM faults: the plan's weight-bit flips for `frame_id` are toggled
-    /// in, the frame runs through the ordinary word-parallel walk, the
-    /// flips are toggled back out (exact restore), and membrane-word
-    /// upsets are applied to the output neurons (low-bit flip, logits and
-    /// prediction recomputed; `output_spikes` keeps the pre-upset firing —
-    /// the upset models a readout-register strike after the compare).
-    ///
-    /// `frame_id` is the fault coordinate: callers use a stable global
-    /// index (batch position, request id) so fault sites are independent
-    /// of chunking, thread count or arrival order. With no transient
-    /// faults active this is exactly [`infer`](Self::infer) — no toggling,
-    /// no recompute, zero cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InputWidthMismatch`] for a wrong input width.
-    pub fn infer_faulted(
-        &mut self,
-        input: &BitVec,
-        frame_id: u64,
-    ) -> Result<InferenceResult, CoreError> {
-        if !self.faults.transient_active() {
-            return self.infer(input);
-        }
-        let flips = self.toggle_frame_flips(frame_id)?;
-        let outcome = self.infer(input);
-        // Revert before error propagation so a failed inference cannot
-        // leave flipped weights behind.
-        self.toggle_frame_flips(frame_id)?;
-        let result = outcome?;
-        self.fault_tally.weight_flips += flips;
-        self.apply_membrane_upsets(result, frame_id)
-    }
-
     /// Applies the plan's membrane-word upsets for `frame_id` to a
-    /// finished result (shared by the oracle-restore and self-checking
-    /// inference paths): low-bit flips on the readout registers, logits and
-    /// prediction recomputed when anything struck.
+    /// finished result: low-bit flips on the readout registers, logits and
+    /// prediction re-read when anything struck.
     fn apply_membrane_upsets(
         &mut self,
         mut result: InferenceResult,
         frame_id: u64,
-    ) -> Result<InferenceResult, CoreError> {
+    ) -> InferenceResult {
         if self.faults.config().membrane_flip_rate() > 0.0 {
             let mut upset = false;
             for (neuron, membrane) in result.membranes.iter_mut().enumerate() {
@@ -466,16 +416,15 @@ impl EsamSystem {
                 }
             }
             if upset {
-                result.logits = result
-                    .membranes
-                    .iter()
-                    .zip(&self.output_bias)
-                    .map(|(&m, &b)| m as f32 + b)
-                    .collect();
-                result.prediction = argmax(&result.logits);
+                result = InferenceResult::from_readout(
+                    result.membranes,
+                    &self.output_bias,
+                    result.output_spikes,
+                    result.per_tile_cycles,
+                );
             }
         }
-        Ok(result)
+        result
     }
 
     /// The integrity mode in effect on this system's weight reads.
@@ -512,29 +461,34 @@ impl EsamSystem {
         total
     }
 
-    /// Runs one inference under the installed fault plan's transient SRAM
-    /// faults **without the oracle restore**: the plan's weight-bit flips
-    /// for `frame_id` are toggled in and then *left in the array* — the
-    /// system must detect and recover on its own.
+    /// Runs one inference under the installed fault plan's *transient*
+    /// SRAM faults: the plan's weight-bit flips for `frame_id` are toggled
+    /// into the array, the frame runs through the ordinary word-parallel
+    /// walk, and the store is restored by the integrity mode in effect:
     ///
-    /// Recovery is the integrity ladder:
-    ///
+    /// * [`Off`] — no self-checking exists, so the flips are toggled back
+    ///   out by the oracle (exact restore; the unprotected baseline the
+    ///   integrity experiment compares against);
+    /// * [`Detect`] — reads are checked and counted but delivered raw; the
+    ///   post-frame scrub restores drifted rows so frames stay independent;
     /// * [`Correct`] — every weight read carries a SECDED syndrome check
     ///   that repairs single-bit rows in the delivered data, and the
-    ///   post-frame scrub pass heals the store (golden reload for
-    ///   uncorrectable rows, silent-corruption audit);
-    /// * [`Detect`] — reads are checked and counted but delivered raw; the
-    ///   post-frame pass restores drifted rows so frames stay independent;
-    /// * [`Off`] — no self-checking exists, so this falls back to
-    ///   [`infer_faulted`](Self::infer_faulted)'s oracle toggle-out (the
-    ///   unprotected baseline the integrity experiment compares against).
+    ///   post-frame scrub heals the store (golden reload for uncorrectable
+    ///   rows, silent-corruption audit).
     ///
-    /// Membrane-word upsets are applied to the result exactly as in
-    /// [`infer_faulted`](Self::infer_faulted) — they strike the readout
-    /// register downstream of the protected SRAM. Because the scrub runs
-    /// after every frame, frames are independent and the
+    /// Membrane-word upsets are then applied to the output neurons
+    /// (low-bit flip, logits and prediction re-read; `output_spikes` keeps
+    /// the pre-upset firing — the upset models a readout-register strike
+    /// after the compare, downstream of the protected SRAM).
+    ///
+    /// `frame_id` is the fault coordinate: callers use a stable global
+    /// index (batch position, request id) so fault sites are independent
+    /// of chunking, thread count or arrival order. Because the store is
+    /// restored after every frame, frames are independent and the
     /// [`IntegrityTally`] is a deterministic function of (seed, frame ids)
-    /// — identical at any thread or core count.
+    /// — identical at any thread or core count. With no transient faults
+    /// active this is exactly [`infer`](Self::infer) — no toggling, no
+    /// re-read, zero cost.
     ///
     /// [`Correct`]: IntegrityMode::Correct
     /// [`Detect`]: IntegrityMode::Detect
@@ -548,26 +502,25 @@ impl EsamSystem {
         input: &BitVec,
         frame_id: u64,
     ) -> Result<InferenceResult, CoreError> {
-        if !self.integrity.checks() {
-            return self.infer_faulted(input, frame_id);
-        }
         if !self.faults.transient_active() {
-            // Nothing strikes the weights; reads are still syndrome-checked
-            // (counting clean reads) and membrane upsets still apply.
-            let result = self.infer(input)?;
-            return self.apply_membrane_upsets(result, frame_id);
+            return self.infer(input);
         }
         let flips = self.toggle_frame_flips(frame_id)?;
-        self.fault_tally.weight_flips += flips;
         let outcome = self.infer(input);
-        // No oracle toggle-out: the scrub pass (ECC heal + golden reload +
-        // audit) is the only thing restoring the store — also on the error
-        // path, so a failed inference cannot leave corruption behind.
-        for tile in &mut self.tiles {
-            tile.scrub_audited()?;
+        // Restore the store before error propagation, so a failed
+        // inference cannot leave corruption behind.
+        if self.integrity.checks() {
+            // No oracle toggle-out: the scrub pass (ECC heal + golden
+            // reload + audit) is the only thing restoring the store.
+            for tile in &mut self.tiles {
+                tile.scrub_audited()?;
+            }
+        } else {
+            self.toggle_frame_flips(frame_id)?;
         }
         let result = outcome?;
-        self.apply_membrane_upsets(result, frame_id)
+        self.fault_tally.weight_flips += flips;
+        Ok(self.apply_membrane_upsets(result, frame_id))
     }
 
     /// Temporal (rate-coded) inference over a sequence of input frames —
@@ -800,41 +753,16 @@ impl EsamSystem {
     }
 
     /// Whether the batch-major bit-sliced block path reproduces the
-    /// sequential walk bit for bit from this system's *current* state.
-    ///
-    /// The block path needs per-frame independence (the `EveryTimestep`
-    /// reset), a fully clean pipeline (drained tiles, zero membranes, no
-    /// pending neuron requests — all guaranteed again after every frame
-    /// under that reset), and membrane registers wide enough that the
-    /// per-cycle clamp can never engage mid-frame (`inputs ≤ min(mem_max,
-    /// −mem_min)`; the running sum's magnitude is bounded by the spikes
-    /// processed so far, so it then never leaves the register range and the
-    /// closed-form `2·ones − spikes` is exact).
+    /// sequential walk bit for bit from this system's *current* state:
+    /// every tile is [`block_ready`](Tile::block_ready), and no per-frame
+    /// hook is needed. Transient faults are per-frame and integrity checks
+    /// are per-read, while the block path reads raw packed words once per
+    /// block — so either takes the sequential walk. Stuck-at faults live in
+    /// the weights themselves and keep the block path (and its exactness).
     pub(crate) fn block_path_eligible(&self) -> bool {
-        if self.config.neuron().reset_policy() != esam_neuron::ResetPolicy::EveryTimestep {
-            return false;
-        }
-        // Transient faults are per-frame, and the block path has no
-        // per-frame hook — frames with active weight/membrane flips take
-        // the sequential walk. Stuck-at faults live in the weights
-        // themselves, so they keep the block path (and its exactness).
-        if self.faults.transient_active() {
-            return false;
-        }
-        // The block path reads raw packed words with no per-read hook, so
-        // it cannot carry the SECDED syndrome check: self-checking systems
-        // take the sequential walk.
-        if self.integrity.checks() {
-            return false;
-        }
-        self.tiles.iter().all(|tile| {
-            let neuron_config = tile.neurons().config();
-            let clamp_guard = neuron_config.mem_max().min(-neuron_config.mem_min());
-            tile.inputs() as i64 <= clamp_guard as i64
-                && tile.is_drained()
-                && !tile.neurons().spike_requests().any()
-                && tile.membranes().iter().all(|&m| m == 0)
-        })
+        !self.faults.transient_active()
+            && !self.integrity.checks()
+            && self.tiles.iter().all(Tile::block_ready)
     }
 
     /// Runs a batch of frames through the batch-major bit-sliced path:
@@ -921,51 +849,30 @@ impl EsamSystem {
         Ok(results)
     }
 
-    /// Advances one ≤64-lane chunk through the cascade. The fired lane
-    /// words of each tile *are* the next tile's [`FrameBlock`] words, so
-    /// cascading costs no re-transpose; only the output tile materializes
-    /// per-lane membranes and frames for the results.
+    /// Advances one ≤64-lane chunk through the cascade ([`walk_block`])
+    /// and reads every lane out as its own result.
     fn infer_block_chunk(
         &mut self,
         frames: &[BitVec],
         results: &mut Vec<InferenceResult>,
     ) -> Result<(), CoreError> {
         let lanes = frames.len();
-        let tile_count = self.tiles.len();
+        let mut cycles = Vec::with_capacity(self.tiles.len() * lanes);
+        let mut membranes = Vec::new();
+        let fired = walk_block(
+            &mut self.tiles,
+            &FrameBlock::from_frames(frames),
+            &mut cycles,
+            Some(&mut membranes),
+        )?;
         let classes = self.output_bias.len();
-        let mut block = FrameBlock::from_frames(frames);
-        let mut cycles = vec![0u64; lanes];
-        let mut per_lane_cycles: Vec<Vec<u64>> =
-            (0..lanes).map(|_| Vec::with_capacity(tile_count)).collect();
-        let mut membranes = vec![0i32; lanes * classes];
-        for (index, tile) in self.tiles.iter_mut().enumerate() {
-            let is_output = index + 1 == tile_count;
-            let mut fired = FrameBlock::new(tile.outputs(), lanes);
-            tile.step_block(
-                &block,
-                &mut fired,
-                &mut cycles,
-                is_output.then_some(membranes.as_mut_slice()),
-            )?;
-            for (lane_cycles, &tile_cycles) in per_lane_cycles.iter_mut().zip(cycles.iter()) {
-                lane_cycles.push(tile_cycles);
-            }
-            block = fired;
-        }
-        for (lane, per_tile_cycles) in per_lane_cycles.into_iter().enumerate() {
-            let membranes = membranes[lane * classes..(lane + 1) * classes].to_vec();
-            let logits: Vec<f32> = membranes
-                .iter()
-                .zip(&self.output_bias)
-                .map(|(&m, &b)| m as f32 + b)
-                .collect();
-            results.push(InferenceResult {
-                prediction: argmax(&logits),
-                logits,
-                membranes,
-                output_spikes: block.lane_frame(lane),
-                per_tile_cycles,
-            });
+        for (lane, lane_membranes) in membranes.chunks_exact(classes).enumerate() {
+            results.push(InferenceResult::from_readout(
+                lane_membranes.to_vec(),
+                &self.output_bias,
+                fired.lane_frame(lane),
+                cycles.iter().skip(lane).step_by(lanes).copied().collect(),
+            ));
         }
         Ok(())
     }

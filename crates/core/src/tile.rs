@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use esam_arbiter::{EncoderStructure, MultiPortArbiter};
 use esam_bits::{BitMatrix, BitVec, FrameBlock};
-use esam_neuron::NeuronArray;
+use esam_neuron::{NeuronArray, ResetPolicy};
 use esam_nn::SnnLayer;
 use esam_sram::{AccessStats, IntegrityMode, IntegrityTally, SramArray, SramMacro};
 use esam_tech::calibration::fitted;
@@ -850,22 +850,40 @@ impl Tile {
         self.neurons.membranes()
     }
 
-    /// Processes one full input frame: inject, drain, fire. Returns the
-    /// output spike frame and the number of clock cycles consumed.
+    /// Processes one full input frame: inject, drain, fire — the
+    /// [`walk_frame`](crate::cascade::walk_frame) over this tile alone.
+    /// Returns the output spike frame and the number of clock cycles
+    /// consumed.
     ///
     /// # Errors
     ///
     /// Propagates injection/step errors.
     pub fn process_frame(&mut self, frame: &BitVec) -> Result<(BitVec, u64), CoreError> {
-        self.inject(frame)?;
-        let mut cycles = 0u64;
-        while !self.is_drained() {
-            self.step()?;
-            cycles += 1;
-        }
-        let fired = self.finish_timestep();
-        cycles += 1;
-        Ok((fired, cycles))
+        let mut cycles = Vec::with_capacity(1);
+        let fired =
+            crate::cascade::walk_frame(std::slice::from_mut(self), frame, &mut cycles, None, None)?;
+        Ok((fired, cycles[0]))
+    }
+
+    /// Whether [`step_block`](Self::step_block) reproduces the sequential
+    /// walk bit for bit from this tile's *current* state.
+    ///
+    /// The block step needs per-frame independence (the `EveryTimestep`
+    /// reset), a clean pipeline (drained requests, zero membranes, no
+    /// pending neuron requests — all guaranteed again after every frame
+    /// under that reset), and membrane registers wide enough that the
+    /// per-cycle clamp can never engage mid-frame (`inputs ≤ min(mem_max,
+    /// −mem_min)`; the running sum's magnitude is bounded by the spikes
+    /// processed so far, so it then never leaves the register range and the
+    /// closed-form `2·ones − spikes` is exact).
+    pub fn block_ready(&self) -> bool {
+        let neuron_config = self.neurons.config();
+        let clamp_guard = neuron_config.mem_max().min(-neuron_config.mem_min());
+        neuron_config.reset_policy() == ResetPolicy::EveryTimestep
+            && self.inputs as i64 <= i64::from(clamp_guard)
+            && self.is_drained()
+            && !self.neurons.spike_requests().any()
+            && self.membranes().iter().all(|&m| m == 0)
     }
 
     /// Processes one [`FrameBlock`] — up to 64 independent frames at once,
@@ -889,8 +907,7 @@ impl Tile {
     /// here in closed form, and the per-lane membrane `2·ones − spikes` is
     /// the exact integration result whenever the membrane register cannot
     /// clamp mid-frame. Callers must uphold the preconditions
-    /// (drained tile, zero membranes, no pending neuron requests,
-    /// every-timestep reset, `inputs ≤ min(mem_max, −mem_min)`) —
+    /// ([`block_ready`](Self::block_ready)) —
     /// [`EsamSystem::infer_block`](crate::EsamSystem::infer_block) checks
     /// them and falls back to the sequential walk otherwise. Equivalence is
     /// property-tested in `tests/bitslice_equivalence.rs`.
@@ -898,12 +915,10 @@ impl Tile {
     /// # Errors
     ///
     /// Returns [`CoreError::InputWidthMismatch`] when the block width does
-    /// not match the tile fan-in.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `fired`, `cycles` or `membranes_out` are mis-shaped for
-    /// this tile and the block's lane count.
+    /// not match the tile fan-in, and [`CoreError::BufferMismatch`] when
+    /// `fired`, `cycles` or `membranes_out` are mis-shaped for this tile and
+    /// the block's lane count. Shapes are checked before any state changes,
+    /// so a rejected call leaves the tile exactly as it was.
     pub fn step_block(
         &mut self,
         block: &FrameBlock,
@@ -918,15 +933,20 @@ impl Tile {
             });
         }
         let lanes = block.lanes();
-        assert_eq!(fired.width(), self.outputs, "fired block width mismatch");
-        assert_eq!(fired.lanes(), lanes, "fired block lane-count mismatch");
-        assert_eq!(cycles.len(), lanes, "cycle buffer length mismatch");
-        if let Some(out) = membranes_out.as_deref_mut() {
-            assert_eq!(
-                out.len(),
-                lanes * self.outputs,
-                "membrane buffer length mismatch"
-            );
+        let readout = lanes * self.outputs;
+        let membranes = membranes_out.as_deref().map_or(readout, <[i32]>::len);
+        let shapes = [
+            ("fired block width", self.outputs, fired.width()),
+            ("fired block lanes", lanes, fired.lanes()),
+            ("cycles length", lanes, cycles.len()),
+            ("membranes length", readout, membranes),
+        ];
+        if let Some(&(buffer, expected, got)) = shapes.iter().find(|(_, e, g)| e != g) {
+            return Err(CoreError::BufferMismatch {
+                buffer,
+                expected,
+                got,
+            });
         }
         debug_assert!(self.is_drained(), "block step needs a drained tile");
         debug_assert!(
@@ -1354,6 +1374,67 @@ mod tests {
             wrong_fan_in.load_layer_slice(layer, 0),
             Err(CoreError::TopologyMismatch { .. })
         ));
+    }
+
+    /// A loaded 136→40 tile (two row groups) and a 3-lane block for it.
+    fn block_fixture() -> (Tile, FrameBlock) {
+        let net = esam_nn::BnnNetwork::new(&[136, 40], 4).unwrap();
+        let model = esam_nn::SnnModel::from_bnn(&net).unwrap();
+        let mut t = tile(136, 40, BitcellKind::multiport(2).unwrap());
+        t.load_layer(&model.layers()[0]).unwrap();
+        let frames: Vec<BitVec> = (0..3)
+            .map(|lane| BitVec::from_indices(136, &[lane, 40 + lane, 135 - lane]))
+            .collect();
+        (t, FrameBlock::from_frames(&frames))
+    }
+
+    /// Block-steps a fixture tile with buffers shaped `(fired width, fired
+    /// lanes, cycles, membranes)`: the call must be rejected naming
+    /// `buffer`, leaving the tile drained and untouched, and the tile's
+    /// next well-shaped call must match a fresh tile's.
+    fn assert_shape_rejected(shape: (usize, usize, usize, usize), buffer: &str) {
+        let (mut t, block) = block_fixture();
+        let (width, lanes, cycles, membranes) = shape;
+        let result = t.step_block(
+            &block,
+            &mut FrameBlock::new(width, lanes),
+            &mut vec![0; cycles],
+            Some(&mut vec![0; membranes]),
+        );
+        assert!(
+            matches!(result, Err(CoreError::BufferMismatch { buffer: b, .. }) if b == buffer),
+            "{buffer}: {result:?}"
+        );
+        assert!(
+            t.is_drained() && t.block_ready(),
+            "{buffer}: tile left dirty"
+        );
+        assert_eq!(*t.stats(), TileStats::default(), "{buffer}: counters moved");
+        let well_shaped = |t: &mut Tile| {
+            let (mut fired, mut cycles, mut membranes) =
+                (FrameBlock::new(40, 3), vec![0; 3], vec![0; 3 * 40]);
+            t.step_block(&block, &mut fired, &mut cycles, Some(&mut membranes))
+                .unwrap();
+            (fired, cycles, membranes)
+        };
+        let fresh = well_shaped(&mut block_fixture().0);
+        assert_eq!(well_shaped(&mut t), fresh, "{buffer}: tile unusable");
+    }
+
+    #[test]
+    fn step_block_rejects_a_misshaped_fired_block() {
+        assert_shape_rejected((41, 3, 3, 120), "fired block width");
+        assert_shape_rejected((40, 4, 3, 120), "fired block lanes");
+    }
+
+    #[test]
+    fn step_block_rejects_a_misshaped_cycle_buffer() {
+        assert_shape_rejected((40, 3, 2, 120), "cycles length");
+    }
+
+    #[test]
+    fn step_block_rejects_a_misshaped_membrane_buffer() {
+        assert_shape_rejected((40, 3, 3, 119), "membranes length");
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn none_plan_is_bit_identical_to_baseline() {
         faulted.set_fault_plan(FaultPlan::none()).unwrap();
         for (id, frame) in frames(20, 1).iter().enumerate() {
             let expected = baseline.infer(frame).unwrap();
-            let got = faulted.infer_faulted(frame, id as u64).unwrap();
+            let got = faulted.infer_checked(frame, id as u64).unwrap();
             assert_eq!(got, expected, "{cell} frame {id}");
         }
         assert_eq!(faulted.fault_tally().weight_flips, 0);
@@ -65,7 +65,7 @@ fn transient_faults_revert_exactly_between_frames() {
     let clean_before: Vec<_> = batch.iter().map(|f| reference.infer(f).unwrap()).collect();
     let mut any_divergence = false;
     for (id, frame) in batch.iter().enumerate() {
-        let got = faulted.infer_faulted(frame, id as u64).unwrap();
+        let got = faulted.infer_checked(frame, id as u64).unwrap();
         any_divergence |= got != clean_before[id];
     }
     assert!(
@@ -119,16 +119,16 @@ fn stuck_at_keeps_the_block_path_transients_do_not() {
     let got = stuck.infer_block(&batch).unwrap();
     assert_eq!(got, expected);
 
-    // Transient faults rule the block path out; infer_faulted still works
+    // Transient faults rule the block path out; infer_checked still works
     // and the per-frame coordinates make it order-independent.
     let mut transient = system(BitcellKind::multiport(4).unwrap());
     transient.set_fault_plan(transient_plan(5)).unwrap();
     let forward: Vec<_> = (0..8)
-        .map(|id| transient.infer_faulted(&batch[id], id as u64).unwrap())
+        .map(|id| transient.infer_checked(&batch[id], id as u64).unwrap())
         .collect();
     let backward: Vec<_> = (0..8)
         .rev()
-        .map(|id| transient.infer_faulted(&batch[id], id as u64).unwrap())
+        .map(|id| transient.infer_checked(&batch[id], id as u64).unwrap())
         .collect();
     for (id, result) in forward.iter().enumerate() {
         assert_eq!(result, &backward[7 - id], "frame {id} order-dependent");
@@ -173,7 +173,7 @@ fn membrane_upsets_recompute_the_readout_consistently() {
         ))
         .unwrap();
     let frame = &frames(1, 8)[0];
-    let result = faulted.infer_faulted(frame, 0).unwrap();
+    let result = faulted.infer_checked(frame, 0).unwrap();
     assert!(faulted.fault_tally().membrane_flips > 0, "rate 0.5 over 10");
     // The reported logits/prediction are consistent with the upset
     // membranes (recomputed, not stale).
@@ -206,7 +206,7 @@ proptest! {
         disabled.set_fault_plan(FaultPlan::none()).unwrap();
         for (id, frame) in frames(count, seed).iter().enumerate() {
             prop_assert_eq!(
-                disabled.infer_faulted(frame, id as u64).unwrap(),
+                disabled.infer_checked(frame, id as u64).unwrap(),
                 baseline.infer(frame).unwrap()
             );
         }
@@ -221,8 +221,8 @@ proptest! {
         a.set_fault_plan(transient_plan(seed)).unwrap();
         b.set_fault_plan(transient_plan(seed)).unwrap();
         prop_assert_eq!(
-            a.infer_faulted(frame, 3).unwrap(),
-            b.infer_faulted(frame, 3).unwrap()
+            a.infer_checked(frame, 3).unwrap(),
+            b.infer_checked(frame, 3).unwrap()
         );
         prop_assert_eq!(a.fault_tally(), b.fault_tally());
     }

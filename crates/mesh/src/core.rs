@@ -9,41 +9,15 @@
 //! its tiles' cycle counts. Parallelism in the mesh comes from *different*
 //! cores overlapping different frames, never from overlap inside a core.
 //!
-//! Both payload walks reproduce the single-core reference exactly: the
-//! crate-internal `process_frame` is the inject → drain → fire walk of
-//! `EsamSystem::infer`, and `process_block` is the [`Tile::step_block`]
-//! cascade of `EsamSystem::infer_block` — same calls, same order, same
-//! counters.
+//! A core has no walk of its own: the mesh handler runs
+//! [`walk_frame`](esam_core::cascade::walk_frame) or
+//! [`walk_block`](esam_core::cascade::walk_block) over the core's tiles —
+//! the very functions `EsamSystem::infer` and `EsamSystem::infer_block`
+//! run over the whole cascade — so a shard reproduces the single-core
+//! reference exactly: same calls, same order, same counters.
 
-use esam_bits::{BitVec, FrameBlock};
 use esam_core::{CoreError, SystemConfig, Tile};
 use esam_nn::SnnModel;
-
-/// What a core hands downstream after serving one spike frame.
-#[derive(Debug, Clone)]
-pub(crate) struct FrameOutput {
-    /// Fired spikes of the core's output slice.
-    pub slice: BitVec,
-    /// Serve + fire cycles of each of the core's tiles, in layer order.
-    pub tile_cycles: Vec<u64>,
-    /// Pre-reset membrane potentials of the output slice — captured only
-    /// on output-stage cores (empty otherwise).
-    pub membranes: Vec<i32>,
-}
-
-/// What a core hands downstream after serving one frame block.
-#[derive(Debug, Clone)]
-pub(crate) struct BlockOutput {
-    /// Fired lane words of the core's output slice.
-    pub slice: FrameBlock,
-    /// `tile_cycles[tile][lane]`: per-lane cycles of each of the core's
-    /// tiles, in layer order.
-    pub tile_cycles: Vec<Vec<u64>>,
-    /// Per-lane membranes of the output slice
-    /// (`membranes[lane * slice_width + neuron]`) — output-stage cores
-    /// only (empty otherwise).
-    pub membranes: Vec<i32>,
-}
 
 /// One core of the mesh: a shard of the cascade plus its position in the
 /// pipeline.
@@ -51,8 +25,6 @@ pub(crate) struct BlockOutput {
 pub struct MeshCore {
     id: usize,
     stage: usize,
-    layer_start: usize,
-    col_start: usize,
     is_output: bool,
     tiles: Vec<Tile>,
 }
@@ -90,8 +62,6 @@ impl MeshCore {
         Ok(Self {
             id,
             stage,
-            layer_start: layers.start,
-            col_start: cols.start,
             is_output,
             tiles,
         })
@@ -105,16 +75,6 @@ impl MeshCore {
     /// Pipeline stage index.
     pub fn stage(&self) -> usize {
         self.stage
-    }
-
-    /// Index of the first layer this core executes.
-    pub fn layer_start(&self) -> usize {
-        self.layer_start
-    }
-
-    /// Column offset of the core's output slice within its last layer.
-    pub fn col_start(&self) -> usize {
-        self.col_start
     }
 
     /// Whether this core produces (a slice of) the readout layer.
@@ -132,11 +92,6 @@ impl MeshCore {
         self.tiles[0].inputs()
     }
 
-    /// Width of the spike slice the core produces.
-    pub fn output_width(&self) -> usize {
-        self.tiles.last().expect("a core owns >= 1 tile").outputs()
-    }
-
     /// Resets the tiles' activity counters.
     pub(crate) fn reset_stats(&mut self) {
         for tile in &mut self.tiles {
@@ -144,81 +99,8 @@ impl MeshCore {
         }
     }
 
-    /// Serves one spike frame through the core's tiles — the exact
-    /// inject → drain → fire walk of the single-core sequential reference,
-    /// restricted to this shard.
-    pub(crate) fn process_frame(&mut self, frame: &BitVec) -> Result<FrameOutput, CoreError> {
-        let tile_count = self.tiles.len();
-        let mut tile_cycles = Vec::with_capacity(tile_count);
-        let mut membranes = Vec::new();
-        let mut working: Option<BitVec> = None;
-        for (index, tile) in self.tiles.iter_mut().enumerate() {
-            let is_last = index + 1 == tile_count;
-            tile.inject(working.as_ref().unwrap_or(frame))?;
-            let mut cycles = 0u64;
-            while !tile.is_drained() {
-                tile.step()?;
-                cycles += 1;
-            }
-            if is_last && self.is_output {
-                membranes = tile.membranes().to_vec();
-            }
-            let fired = tile.finish_timestep();
-            cycles += 1;
-            tile_cycles.push(cycles);
-            working = Some(fired);
-        }
-        Ok(FrameOutput {
-            slice: working.expect("a core owns >= 1 tile"),
-            tile_cycles,
-            membranes,
-        })
-    }
-
-    /// Serves one frame block through the core's tiles — the
-    /// [`Tile::step_block`] cascade of the single-core bit-sliced path,
-    /// restricted to this shard. Callers must have established block-path
-    /// eligibility (the mesh system checks it before selecting this
-    /// payload).
-    pub(crate) fn process_block(&mut self, block: &FrameBlock) -> Result<BlockOutput, CoreError> {
-        let lanes = block.lanes();
-        let tile_count = self.tiles.len();
-        let mut tile_cycles = Vec::with_capacity(tile_count);
-        let mut membranes = Vec::new();
-        let mut working = block.clone();
-        let mut cycles = vec![0u64; lanes];
-        for (index, tile) in self.tiles.iter_mut().enumerate() {
-            let is_last = index + 1 == tile_count;
-            let mut fired = FrameBlock::new(tile.outputs(), lanes);
-            if is_last && self.is_output {
-                membranes = vec![0i32; lanes * tile.outputs()];
-            }
-            tile.step_block(
-                &working,
-                &mut fired,
-                &mut cycles,
-                (is_last && self.is_output).then_some(membranes.as_mut_slice()),
-            )?;
-            tile_cycles.push(cycles.clone());
-            working = fired;
-        }
-        Ok(BlockOutput {
-            slice: working,
-            tile_cycles,
-            membranes,
-        })
-    }
-
-    /// Whether the block payload is exact on this core's tiles (the
-    /// per-tile half of `EsamSystem::block_path_eligible`, shard-local).
-    pub(crate) fn block_eligible(&self) -> bool {
-        self.tiles.iter().all(|tile| {
-            let neuron_config = tile.neurons().config();
-            let clamp_guard = neuron_config.mem_max().min(-neuron_config.mem_min());
-            tile.inputs() as i64 <= i64::from(clamp_guard)
-                && tile.is_drained()
-                && !tile.neurons().spike_requests().any()
-                && tile.membranes().iter().all(|&m| m == 0)
-        })
+    /// The core's tiles, mutably — what the handler walks.
+    pub(crate) fn tiles_mut(&mut self) -> &mut [Tile] {
+        &mut self.tiles
     }
 }

@@ -62,8 +62,9 @@ impl LinkStats {
     }
 
     /// Charges one spike frame carrying `events` events and returns the
-    /// link cycles it cost (the value folded into the mesh bottleneck).
-    pub(crate) fn charge(&mut self, link: &LinkConfig, events: u64) -> u64 {
+    /// `(routing, serialization)` cycles it cost (their sum is the value
+    /// folded into the mesh bottleneck).
+    pub(crate) fn charge(&mut self, link: &LinkConfig, events: u64) -> (u64, u64) {
         let hop = link.hop_latency * self.distance;
         let serialize = link.cycles(events, 0);
         self.frames += 1;
@@ -71,7 +72,7 @@ impl LinkStats {
         self.hop_cycles += hop;
         self.serialize_cycles += serialize;
         self.busy_cycles += hop + serialize;
-        hop + serialize
+        (hop, serialize)
     }
 
     /// Charges one consumer-side CRC verify and returns its cycles.
@@ -123,9 +124,9 @@ mod tests {
         };
         let mut stats = LinkStats::new(0, 1, 3);
         let cost = stats.charge(&link, 20);
-        assert_eq!(cost, 2 * 3 + 3, "6 hop cycles + ceil(20/8) serialization");
+        assert_eq!(cost, (2 * 3, 3), "6 hop cycles + ceil(20/8) serialization");
         let silent = stats.charge(&link, 0);
-        assert_eq!(silent, 6 + 1, "silence still costs one bus cycle");
+        assert_eq!(silent, (6, 1), "silence still costs one bus cycle");
         assert_eq!(stats.frames, 2);
         assert_eq!(stats.events, 20);
         assert_eq!(stats.hop_cycles, 12);

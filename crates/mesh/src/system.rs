@@ -33,10 +33,12 @@
 //!
 //! [`Execution::Pipelined`] and [`Execution::Sequential`] run the *same*
 //! per-core handler over the same packets — only the scheduling differs —
-//! so they are bit-identical in results, tallies and every counter.
-//! Against the plain single-core [`EsamSystem`](esam_core::EsamSystem),
-//! outputs (predictions, logits, membranes, output spikes, per-tile
-//! cycles) are always identical; tile counters additionally match
+//! so they are bit-identical in results, tallies and every counter. The
+//! handler walks its core's tiles with [`walk_frame`] / [`walk_block`],
+//! the walks the plain single-core [`EsamSystem`](esam_core::EsamSystem)
+//! runs over its whole cascade, so against it outputs (predictions,
+//! logits, membranes, output spikes, per-tile cycles) are always
+//! identical; tile counters additionally match
 //! tile-for-tile whenever the plan is layer-granular (column-split shards
 //! own private arbiters, so arbiter-side counters physically duplicate
 //! per shard while per-array access counters partition exactly). The
@@ -57,16 +59,26 @@
 //! always returns exact results for the full batch. The injected-fault
 //! counters land in [`MeshTally`] under the same exact u64 merge law as
 //! everything else.
+//!
+//! # Tracing
+//!
+//! [`MeshSystem::run_traced`] attaches a timeline sink to every core and
+//! runs the ordinary sequential frame walk. The handler draws each link,
+//! CRC-retry, delay and stall charge into the sink as it makes it, and a
+//! frame packet carries its producer's finish cycle to the consumer: the
+//! link delivers at that cycle plus everything the edge charged, and the
+//! core starts at `max(own busy-until, latest delivery)` — a gap is
+//! pipeline dead time, drawn as a `bubble`. The feeder saturates stage 0.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
+use std::time::Instant;
 
 use esam_bits::{BitVec, FrameBlock};
+use esam_core::cascade::{walk_block, walk_frame};
 use esam_core::{CoreError, InferenceResult, PipelineTiming, SystemConfig, SystemMetrics, Tile};
 use esam_fault::FaultPlan;
-use esam_neuron::ResetPolicy;
-use esam_nn::bnn::argmax;
 use esam_nn::SnnModel;
 use esam_obs::{Trace, TrackTrace, NO_ARGS};
 use esam_tech::units::{AreaUm2, Joules, Watts};
@@ -100,6 +112,26 @@ enum Packet {
     Lost,
 }
 
+impl Packet {
+    fn frame(&self) -> Result<&FramePacket, CoreError> {
+        match self {
+            Packet::Frame(packet) => Ok(packet),
+            _ => Err(mixed_payloads()),
+        }
+    }
+
+    fn block(&self) -> Result<&BlockPacket, CoreError> {
+        match self {
+            Packet::Block(packet) => Ok(packet),
+            _ => Err(mixed_payloads()),
+        }
+    }
+}
+
+fn mixed_payloads() -> CoreError {
+    CoreError::InvalidConfig("mixed payload kinds in one mesh run".into())
+}
+
 #[derive(Debug, Clone)]
 struct FramePacket {
     /// The producing core's output slice.
@@ -116,6 +148,10 @@ struct FramePacket {
     /// the checksum protocol is armed ([`FaultPlan::corrupt_active`]);
     /// zero otherwise, so the clean path never pays for it.
     crc: u32,
+    /// Modeled cycle at which the producer finished this frame on its
+    /// timeline — the packet's departure. Written only while timelines
+    /// are attached ([`MeshSystem::run_traced`]); zero otherwise.
+    finish: u64,
 }
 
 /// Retransmissions a consumer may NACK per hand-off and edge before it
@@ -123,46 +159,13 @@ struct FramePacket {
 /// recovery pass, like a dropped packet).
 pub const MAX_RETRANSMITS: u64 = 3;
 
-/// Pure mirror of the consumer's CRC verify + NACK/retransmit attempt
-/// loop: replays the [`FaultPlan::packet_corrupt`] verdicts for the
-/// `t`-th hand-off on edge `src → dst` and returns `(extra link cycles,
-/// corrupted attempts, retransmissions issued, frame lost)`. The traced
-/// walk uses it to reproduce the handler's charge arithmetic without
-/// touching link state.
-fn mirror_corrupt(
-    faults: &FaultPlan,
-    t: u64,
-    src: u64,
-    dst: u64,
-    hop: u64,
-    serialize: u64,
-) -> (u64, u64, u64, bool) {
-    if !faults.corrupt_active() {
-        return (0, 0, 0, false);
-    }
-    let (mut cost, mut corrupted, mut retransmits) = (0u64, 0u64, 0u64);
-    let mut attempt = 0u64;
-    loop {
-        cost += LinkStats::CRC_CHECK_CYCLES;
-        if faults.packet_corrupt(t, src, dst, attempt).is_none() {
-            return (cost, corrupted, retransmits, false);
-        }
-        corrupted += 1;
-        if attempt == MAX_RETRANSMITS {
-            return (cost, corrupted, retransmits, true);
-        }
-        cost += 2 * hop + serialize;
-        retransmits += 1;
-        attempt += 1;
-    }
-}
-
 #[derive(Debug, Clone)]
 struct BlockPacket {
     /// The producing core's output slice, batch-major.
     slice: FrameBlock,
-    /// `cycles[layer][lane]`: per-layer serve cycles from cascade start.
-    cycles: Vec<Vec<u64>>,
+    /// Per-layer serve cycles from cascade start, layer-major:
+    /// `cycles[layer * lanes + lane]`.
+    cycles: Vec<u64>,
     /// Readout membranes, `[lane * slice_width + neuron]` (output stage
     /// only).
     membranes: Vec<i32>,
@@ -181,6 +184,132 @@ struct InPort {
     link: Option<LinkStats>,
 }
 
+/// What one linked in-edge charged for the hand-off being served — held
+/// until the hand-off's fate (delivered or lost) decides what is drawn.
+#[derive(Debug, Clone, Copy)]
+struct EdgeCharge {
+    /// The producer's finish cycle (the packet's departure).
+    departed: u64,
+    /// Routing cycles of the first transmission.
+    hop: u64,
+    /// Serialization cycles of the first transmission.
+    serialize: u64,
+    /// Spike events carried.
+    events: u64,
+    /// Transmission attempts that failed the CRC check.
+    corrupted: u64,
+    /// Retransmissions issued.
+    retransmits: u64,
+    /// Injected delay cycles, when the edge was delayed.
+    delay: Option<u64>,
+    /// Every cycle the edge charged: hop + serialization + CRC checks +
+    /// retransmissions + delay.
+    cost: u64,
+}
+
+/// A core's timeline sink (see the module docs' *Tracing*): the core's
+/// track, one track per linked in-port, and the in-edge charges of the
+/// hand-off being served, written by [`CoreSlot::handle_frame`].
+#[derive(Debug, Clone)]
+struct Timeline {
+    core: TrackTrace,
+    /// One per linked in-port, in port order.
+    links: Vec<TrackTrace>,
+    edges: Vec<EdgeCharge>,
+    /// Hand-offs recorded so far: the next one's `frame` arg (the frame's
+    /// index within the traced call).
+    frames: u64,
+}
+
+impl Timeline {
+    /// A sink for `core`, whose link tracks take tids from `link_tid` on.
+    fn new(
+        core: &MeshCore,
+        ports: &[InPort],
+        link_tid: u32,
+        capacity: usize,
+        epoch: Instant,
+    ) -> Self {
+        let links = ports
+            .iter()
+            .filter_map(|port| port.link.as_ref())
+            .zip(link_tid..)
+            .map(|(stats, tid)| {
+                let name = format!("link {} -> {}", stats.src, stats.dst);
+                TrackTrace::with_epoch(MESH_TRACE_PID, tid, name, capacity, epoch)
+            })
+            .collect();
+        let name = format!("core {} (stage {})", core.id(), core.stage());
+        Self {
+            core: TrackTrace::with_epoch(MESH_TRACE_PID, core.id() as u32, name, capacity, epoch),
+            links,
+            edges: Vec::with_capacity(ports.len()),
+            frames: 0,
+        }
+    }
+
+    /// Records a frame lost at this core — to its own drop verdicts, to a
+    /// retry budget running dry (the corrupted edges are marked), or
+    /// upstream.
+    fn lost(&mut self) {
+        let frame = Some(("frame", self.frames));
+        for (edge, track) in self.edges.iter().zip(&mut self.links) {
+            if edge.corrupted > 0 {
+                track.instant(
+                    "packet-corrupt",
+                    [frame, Some(("retransmits", edge.retransmits))],
+                );
+            }
+        }
+        self.core.instant("frame-lost", [frame, None]);
+        self.edges.clear();
+        self.frames += 1;
+    }
+
+    /// Records a delivered frame — each in-edge's `hop` + `serialize`
+    /// transfer from its producer's finish with any `packet-corrupt` /
+    /// `packet-delay` instants, a `core-stall` instant, the `bubble` while
+    /// the core waits for its latest input, and the `frame` occupancy span
+    /// — and returns the core's finish cycle.
+    fn delivered(&mut self, occupancy: u64, stall: Option<u64>) -> u64 {
+        let frame = Some(("frame", self.frames));
+        let mut available = 0u64;
+        for (edge, track) in self.edges.iter().zip(&mut self.links) {
+            track.span_at("hop", edge.departed, edge.hop, [frame, None]);
+            track.span_at(
+                "serialize",
+                edge.departed + edge.hop,
+                edge.serialize,
+                [Some(("events", edge.events)), None],
+            );
+            if edge.corrupted > 0 {
+                track.instant(
+                    "packet-corrupt",
+                    [frame, Some(("retransmits", edge.retransmits))],
+                );
+            }
+            if let Some(cycles) = edge.delay {
+                track.instant("packet-delay", [frame, Some(("cycles", cycles))]);
+            }
+            available = available.max(edge.departed + edge.cost);
+        }
+        if let Some(cycles) = stall {
+            self.core
+                .instant("core-stall", [frame, Some(("cycles", cycles))]);
+        }
+        let busy_until = self.core.cursor();
+        if available > busy_until {
+            self.core
+                .span_at("bubble", busy_until, available - busy_until, NO_ARGS);
+            self.core.set_cursor(available);
+        }
+        self.core.span("frame", occupancy, [frame, None]);
+        self.edges.clear();
+        self.frames += 1;
+        self.core.cursor()
+    }
+}
+
 /// A core plus its consumer-side interconnect state. `handle` is the
 /// single handler both execution modes invoke — bit-identity between them
 /// holds by construction: fault decisions are keyed on the slot's own
@@ -195,19 +324,19 @@ struct CoreSlot {
     /// of every fault decision at this core. Lost frames count too (the
     /// hand-off happened), fault-exempt recovery walks do not.
     hand_offs: u64,
-    /// Per-run injected-fault scratch counters, drained into the run's
-    /// [`MeshTally`] when it completes.
-    dropped: u64,
-    delayed: u64,
-    stalls: u64,
-    corrupted: u64,
-    retransmits: u64,
+    /// Injected-fault counters of the current run (drops, delays,
+    /// corruptions, retransmits, stalls), merged into the run's tally when
+    /// it completes.
+    injected: MeshTally,
+    /// The timeline sink, attached only by [`MeshSystem::run_traced`].
+    timeline: Option<Timeline>,
 }
 
 impl CoreSlot {
     /// Serves one hand-off. `exempt` marks the recovery path: no fault
-    /// decisions are made and the hand-off counter does not advance, so a
-    /// recovered frame is the exact unfaulted computation.
+    /// decisions are made, the hand-off counter does not advance and
+    /// nothing is drawn, so a recovered frame is the exact unfaulted
+    /// computation.
     fn handle(&mut self, inputs: &[Packet], exempt: bool) -> Result<Packet, CoreError> {
         debug_assert_eq!(inputs.len(), self.ports.len());
         let t = self.hand_offs;
@@ -218,6 +347,9 @@ impl CoreSlot {
             // An upstream loss already doomed this frame: consume the
             // hand-off and propagate the marker (lockstep) without any
             // tile work or link charges.
+            if let Some(timeline) = self.timeline.as_mut().filter(|_| !exempt) {
+                timeline.lost();
+            }
             return Ok(Packet::Lost);
         }
         match inputs.first() {
@@ -236,33 +368,35 @@ impl CoreSlot {
         t: u64,
     ) -> Result<Packet, CoreError> {
         let faults = self.faults;
-        let mut packets = Vec::with_capacity(inputs.len());
-        for packet in inputs {
-            let Packet::Frame(packet) = packet else {
-                return Err(CoreError::InvalidConfig(
-                    "mixed payload kinds in one mesh run".into(),
-                ));
-            };
-            packets.push(packet);
-        }
+        let packets = inputs
+            .iter()
+            .map(Packet::frame)
+            .collect::<Result<Vec<_>, _>>()?;
         debug_assert!(
             packets.windows(2).all(|w| w[0].cycles == w[1].cycles),
             "upstream cycle chains diverged across shards"
         );
+        let mut timeline = self.timeline.as_mut().filter(|_| !exempt);
         // Consumer-side drop verdicts, one per real in-edge (the synthetic
         // feeder edge never faults). Any hit dooms the whole frame at this
         // core: the transaction aborts, so nothing is charged.
         if !exempt && faults.mesh_active() {
             let mut lost = false;
-            for port in &self.ports {
-                if let Some(stats) = &port.link {
-                    if faults.packet_drop(t, stats.src as u64, stats.dst as u64) {
-                        self.dropped += 1;
-                        lost = true;
+            let linked = self.ports.iter().filter_map(|port| port.link.as_ref());
+            for (index, stats) in linked.enumerate() {
+                if faults.packet_drop(t, stats.src as u64, stats.dst as u64) {
+                    self.injected.packets_dropped += 1;
+                    lost = true;
+                    if let Some(timeline) = timeline.as_deref_mut() {
+                        let frame = Some(("frame", timeline.frames));
+                        timeline.links[index].instant("packet-drop", [frame, None]);
                     }
                 }
             }
             if lost {
+                if let Some(timeline) = timeline {
+                    timeline.lost();
+                }
                 return Ok(Packet::Lost);
             }
         }
@@ -270,81 +404,96 @@ impl CoreSlot {
         let armed = !exempt && faults.corrupt_active();
         let mut noc_in = 0u64;
         let mut pipe_in = 0u64;
-        let (mut corrupted, mut retransmits) = (0u64, 0u64);
         let mut lost = false;
         for (port, packet) in self.ports.iter_mut().zip(&packets) {
-            let events = packet.slice.count_ones() as u64;
-            let mut cost = match port.link.as_mut() {
-                Some(stats) => stats.charge(&link, events),
-                None => 0,
+            let Some(stats) = port.link.as_mut() else {
+                // The synthetic feeder edge costs nothing.
+                noc_in = noc_in.max(packet.noc_latency);
+                pipe_in = pipe_in.max(packet.pipe_max);
+                continue;
             };
+            let events = packet.slice.count_ones() as u64;
+            let (hop, serialize) = stats.charge(&link, events);
+            let mut cost = hop + serialize;
+            let (mut corrupted, mut retransmits) = (0u64, 0u64);
             if armed {
-                if let Some(stats) = port.link.as_mut() {
-                    // CRC verify + NACK/retransmit protocol: every
-                    // received transmission attempt is checked by the
-                    // *real* CRC comparison — an injected upset strikes a
-                    // local copy of the in-flight payload and detection is
-                    // computed, never assumed. A mismatch NACKs the
-                    // attempt and re-charges the edge; exhausting the
-                    // retry budget loses the frame like a drop.
-                    let (src, dst) = (stats.src as u64, stats.dst as u64);
-                    let mut attempt = 0u64;
-                    loop {
-                        cost += stats.charge_crc();
-                        let received_crc = match faults.packet_corrupt(t, src, dst, attempt) {
-                            None => crc32_words(packet.slice.words()),
-                            Some(selector) => {
-                                let mut words = packet.slice.words().to_vec();
-                                let bit = (selector % packet.slice.len().max(1) as u64) as usize;
-                                words[bit / 64] ^= 1u64 << (bit % 64);
-                                let got = crc32_words(&words);
-                                // CRC-32 catches every single-bit error;
-                                // a miss here would mean the consumer is
-                                // about to eat wrong data — abort loudly
-                                // instead of masking it.
-                                assert_ne!(
-                                    got, packet.crc,
-                                    "CRC-32 must flag a single-bit in-flight upset"
-                                );
-                                got
-                            }
-                        };
-                        if received_crc == packet.crc {
-                            // Verified clean — consume.
-                            break;
+                // CRC verify + NACK/retransmit protocol: every received
+                // transmission attempt is checked by the *real* CRC
+                // comparison — an injected upset strikes a local copy of
+                // the in-flight payload and detection is computed, never
+                // assumed. A mismatch NACKs the attempt and re-charges the
+                // edge; exhausting the retry budget loses the frame like a
+                // drop.
+                let (src, dst) = (stats.src as u64, stats.dst as u64);
+                let mut attempt = 0u64;
+                loop {
+                    cost += stats.charge_crc();
+                    let received_crc = match faults.packet_corrupt(t, src, dst, attempt) {
+                        None => crc32_words(packet.slice.words()),
+                        Some(selector) => {
+                            let mut words = packet.slice.words().to_vec();
+                            let bit = (selector % packet.slice.len().max(1) as u64) as usize;
+                            words[bit / 64] ^= 1u64 << (bit % 64);
+                            let got = crc32_words(&words);
+                            // CRC-32 catches every single-bit error; a
+                            // miss here would mean the consumer is about
+                            // to eat wrong data — abort loudly instead of
+                            // masking it.
+                            assert_ne!(
+                                got, packet.crc,
+                                "CRC-32 must flag a single-bit in-flight upset"
+                            );
+                            got
                         }
-                        corrupted += 1;
-                        if attempt == MAX_RETRANSMITS {
-                            lost = true;
-                            break;
-                        }
-                        cost += stats.charge_retransmit(&link, events);
-                        retransmits += 1;
-                        attempt += 1;
+                    };
+                    if received_crc == packet.crc {
+                        // Verified clean — consume.
+                        break;
                     }
+                    corrupted += 1;
+                    if attempt == MAX_RETRANSMITS {
+                        lost = true;
+                        break;
+                    }
+                    cost += stats.charge_retransmit(&link, events);
+                    retransmits += 1;
+                    attempt += 1;
                 }
             }
-            if !exempt {
-                if let Some(stats) = &port.link {
-                    if faults.packet_delay(t, stats.src as u64, stats.dst as u64) {
-                        // Congestion model: the delayed packet still
-                        // delivers, but its edge costs extra cycles on
-                        // both the latency and bottleneck accumulators.
-                        self.delayed += 1;
-                        cost += faults.config().delay_cycles();
-                    }
-                }
+            let mut delay = None;
+            if !exempt && faults.packet_delay(t, stats.src as u64, stats.dst as u64) {
+                // Congestion model: the delayed packet still delivers, but
+                // its edge costs extra cycles on both the latency and
+                // bottleneck accumulators.
+                self.injected.packets_delayed += 1;
+                delay = Some(faults.config().delay_cycles());
+                cost += faults.config().delay_cycles();
+            }
+            self.injected.packets_corrupted += corrupted;
+            self.injected.retransmits += retransmits;
+            if let Some(timeline) = timeline.as_deref_mut() {
+                timeline.edges.push(EdgeCharge {
+                    departed: packet.finish,
+                    hop,
+                    serialize,
+                    events,
+                    corrupted,
+                    retransmits,
+                    delay,
+                    cost,
+                });
             }
             noc_in = noc_in.max(packet.noc_latency + cost);
             pipe_in = pipe_in.max(packet.pipe_max.max(cost));
         }
-        self.corrupted += corrupted;
-        self.retransmits += retransmits;
         if lost {
             // The retry budget ran dry on some in-edge: the transmissions
             // (and their retransmission traffic) were genuinely charged,
             // but the frame never arrived intact — it sinks as a gap for
             // the recovery pass, exactly like a dropped packet.
+            if let Some(timeline) = timeline {
+                timeline.lost();
+            }
             return Ok(Packet::Lost);
         }
         let width = self.core.input_width();
@@ -359,41 +508,49 @@ impl CoreSlot {
             assembled = frame;
             &assembled
         };
-        let out = self.core.process_frame(input)?;
-        let mut occupancy: u64 = out.tile_cycles.iter().sum();
+        let chain = packets[0].cycles.len();
+        let mut cycles = Vec::with_capacity(chain + self.core.tiles().len());
+        cycles.extend_from_slice(&packets[0].cycles);
+        let mut membranes = Vec::new();
+        let is_output = self.core.is_output();
+        let slice = walk_frame(
+            self.core.tiles_mut(),
+            input,
+            &mut cycles,
+            is_output.then_some(&mut membranes),
+            None,
+        )?;
+        let mut occupancy: u64 = cycles[chain..].iter().sum();
+        let mut stall = None;
         if !exempt && faults.core_stall(t, self.core.id() as u64) {
             // A stalled core occupies its pipeline station longer; the
             // per-tile latency chain (real compute) is untouched.
-            self.stalls += 1;
+            self.injected.core_stalls += 1;
+            stall = Some(faults.config().core_stall_cycles());
             occupancy += faults.config().core_stall_cycles();
         }
-        let mut cycles = packets[0].cycles.clone();
-        cycles.extend_from_slice(&out.tile_cycles);
+        let finish = timeline.map_or(0, |timeline| timeline.delivered(occupancy, stall));
         let crc = if faults.corrupt_active() {
-            crc32_words(out.slice.words())
+            crc32_words(slice.words())
         } else {
             0
         };
         Ok(Packet::Frame(FramePacket {
-            slice: out.slice,
+            slice,
             cycles,
-            membranes: out.membranes,
+            membranes,
             noc_latency: noc_in,
             pipe_max: pipe_in.max(occupancy),
             crc,
+            finish,
         }))
     }
 
     fn handle_block(&mut self, inputs: &[Packet]) -> Result<Packet, CoreError> {
-        let mut packets = Vec::with_capacity(inputs.len());
-        for packet in inputs {
-            let Packet::Block(packet) = packet else {
-                return Err(CoreError::InvalidConfig(
-                    "mixed payload kinds in one mesh run".into(),
-                ));
-            };
-            packets.push(packet);
-        }
+        let packets = inputs
+            .iter()
+            .map(Packet::block)
+            .collect::<Result<Vec<_>, _>>()?;
         debug_assert!(
             packets.windows(2).all(|w| w[0].cycles == w[1].cycles),
             "upstream cycle chains diverged across shards"
@@ -405,7 +562,10 @@ impl CoreSlot {
             let counts = packet.slice.lane_counts();
             for lane in 0..lanes {
                 let cost = match port.link.as_mut() {
-                    Some(stats) => stats.charge(&self.link, u64::from(counts[lane])),
+                    Some(stats) => {
+                        let (hop, serialize) = stats.charge(&self.link, u64::from(counts[lane]));
+                        hop + serialize
+                    }
                     None => 0,
                 };
                 noc_in[lane] = noc_in[lane].max(packet.noc_latency[lane] + cost);
@@ -424,27 +584,36 @@ impl CoreSlot {
             assembled = block;
             &assembled
         };
-        let out = self.core.process_block(input)?;
+        let chain = packets[0].cycles.len();
+        let mut cycles = Vec::with_capacity(chain + self.core.tiles().len() * lanes);
+        cycles.extend_from_slice(&packets[0].cycles);
+        let mut membranes = Vec::new();
+        let is_output = self.core.is_output();
+        let slice = walk_block(
+            self.core.tiles_mut(),
+            input,
+            &mut cycles,
+            is_output.then_some(&mut membranes),
+        )?;
         let mut pipe_out = pipe_in;
         for (lane, pipe) in pipe_out.iter_mut().enumerate() {
-            let occupancy: u64 = out.tile_cycles.iter().map(|tile| tile[lane]).sum();
+            let occupancy: u64 = cycles[chain..].iter().skip(lane).step_by(lanes).sum();
             *pipe = (*pipe).max(occupancy);
         }
-        let mut cycles = packets[0].cycles.clone();
-        cycles.extend(out.tile_cycles.iter().cloned());
         Ok(Packet::Block(BlockPacket {
-            slice: out.slice,
+            slice,
             cycles,
-            membranes: out.membranes,
+            membranes,
             noc_latency: noc_in,
             pipe_max: pipe_out,
         }))
     }
 }
 
-/// `armed` mirrors [`FaultPlan::corrupt_active`]: when the checksum
-/// protocol is in use, even the feeder stamps its packets so every real
-/// edge downstream can verify them.
+/// A feeder packet for one frame. `armed` mirrors
+/// [`FaultPlan::corrupt_active`]: when the checksum protocol is in use,
+/// even the feeder stamps its packets so every real edge downstream can
+/// verify them.
 fn feeder_frame(frame: &BitVec, armed: bool) -> Packet {
     Packet::Frame(FramePacket {
         slice: frame.clone(),
@@ -453,143 +622,152 @@ fn feeder_frame(frame: &BitVec, armed: bool) -> Packet {
         noc_latency: 0,
         pipe_max: 0,
         crc: if armed { crc32_words(frame.words()) } else { 0 },
+        finish: 0,
     })
 }
 
-fn feeder_block(chunk: &[BitVec]) -> Packet {
-    Packet::Block(BlockPacket {
-        slice: FrameBlock::from_frames(chunk),
-        cycles: Vec::new(),
-        membranes: Vec::new(),
-        noc_latency: vec![0; chunk.len()],
-        pipe_max: vec![0; chunk.len()],
+/// The feeder's packets for a batch: one per frame, or one per ≤64-frame
+/// block when `blocks`.
+fn feed(frames: &[BitVec], blocks: bool, armed: bool) -> impl Iterator<Item = Packet> + '_ {
+    let lanes = if blocks { FrameBlock::LANES } else { 1 };
+    frames.chunks(lanes).map(move |chunk| {
+        if !blocks {
+            return feeder_frame(&chunk[0], armed);
+        }
+        Packet::Block(BlockPacket {
+            slice: FrameBlock::from_frames(chunk),
+            cycles: Vec::new(),
+            membranes: Vec::new(),
+            noc_latency: vec![0; chunk.len()],
+            pipe_max: vec![0; chunk.len()],
+        })
     })
 }
 
-/// Collects one frame's readout packets (shards in column order) into an
-/// [`InferenceResult`] and folds its cycle accumulators into the tally. A
-/// frame lost to an injected link fault sinks as `None` — a gap the
-/// recovery pass fills after the run.
-fn record_frame_sink(
-    packets: &[Packet],
-    offsets: &[usize],
-    output_width: usize,
-    output_bias: &[f32],
-    results: &mut Vec<Option<InferenceResult>>,
-    tally: &mut MeshTally,
-) -> Result<(), CoreError> {
-    if packets.iter().any(|packet| matches!(packet, Packet::Lost)) {
-        results.push(None);
-        return Ok(());
-    }
-    let mut shards = Vec::with_capacity(packets.len());
-    for packet in packets {
-        let Packet::Frame(packet) = packet else {
-            return Err(CoreError::InvalidConfig(
-                "mixed payload kinds in one mesh run".into(),
-            ));
-        };
-        shards.push(packet);
-    }
-    debug_assert!(
-        shards.windows(2).all(|w| w[0].cycles == w[1].cycles),
-        "readout shards disagree on the cascade cycle chain"
-    );
-    let per_tile_cycles = shards[0].cycles.clone();
-    let mut membranes = Vec::with_capacity(output_width);
-    for shard in &shards {
-        membranes.extend_from_slice(&shard.membranes);
-    }
-    let logits: Vec<f32> = membranes
-        .iter()
-        .zip(output_bias)
-        .map(|(&m, &b)| m as f32 + b)
-        .collect();
-    let output_spikes = if shards.len() == 1 {
-        shards[0].slice.clone()
-    } else {
-        let mut spikes = BitVec::new(output_width);
-        for (shard, &offset) in shards.iter().zip(offsets) {
-            spikes.copy_bits_from(&shard.slice, offset);
-        }
-        spikes
+/// Sends `packet` down every channel (clones for all but the last);
+/// `false` once any consumer is gone.
+fn broadcast(txs: &[Sender<Packet>], packet: Packet) -> bool {
+    let Some((last, rest)) = txs.split_last() else {
+        return true;
     };
-    let result = InferenceResult {
-        prediction: argmax(&logits),
-        logits,
-        membranes,
-        output_spikes,
-        per_tile_cycles,
-    };
-    tally.tiles.record(&result);
-    tally.mesh_bottleneck_cycles += shards.iter().map(|s| s.pipe_max).max().unwrap_or(0);
-    tally.noc_latency_cycles += shards.iter().map(|s| s.noc_latency).max().unwrap_or(0);
-    results.push(Some(result));
-    Ok(())
+    rest.iter().all(|tx| tx.send(packet.clone()).is_ok()) && last.send(packet).is_ok()
 }
 
-/// Block-payload counterpart of [`record_frame_sink`]: unpacks every lane
-/// of the readout block into its own [`InferenceResult`], in lane order.
-fn record_block_sink(
-    packets: &[Packet],
-    offsets: &[usize],
-    output_width: usize,
-    output_bias: &[f32],
-    results: &mut Vec<Option<InferenceResult>>,
-    tally: &mut MeshTally,
-) -> Result<(), CoreError> {
-    let mut shards = Vec::with_capacity(packets.len());
-    for packet in packets {
-        let Packet::Block(packet) = packet else {
-            return Err(CoreError::InvalidConfig(
-                "mixed payload kinds in one mesh run".into(),
-            ));
-        };
-        shards.push(packet);
-    }
-    debug_assert!(
-        shards.windows(2).all(|w| w[0].cycles == w[1].cycles),
-        "readout shards disagree on the cascade cycle chain"
-    );
-    let lanes = shards[0].slice.lanes();
-    let full = if shards.len() == 1 {
-        shards[0].slice.clone()
-    } else {
-        let mut block = FrameBlock::new(output_width, lanes);
-        for (shard, &offset) in shards.iter().zip(offsets) {
-            block.copy_rows_from(&shard.slice, offset);
+/// The sink: turns the readout stage's packets (shards in column order)
+/// into results.
+#[derive(Debug, Clone)]
+struct Readout {
+    /// Column offset of each readout shard.
+    offsets: Vec<usize>,
+    /// Readout-layer width.
+    width: usize,
+    /// The converted output biases.
+    bias: Vec<f32>,
+}
+
+impl Readout {
+    /// Collects one hand-off's readout packets into results — one per
+    /// frame, one per lane of a block — and folds their cycle
+    /// accumulators into the tally. A frame lost to an injected link fault
+    /// sinks as `None`, a gap the recovery pass fills after the run.
+    fn record(
+        &self,
+        packets: &[Packet],
+        results: &mut Vec<Option<InferenceResult>>,
+        tally: &mut MeshTally,
+    ) -> Result<(), CoreError> {
+        if packets.iter().any(|packet| matches!(packet, Packet::Lost)) {
+            results.push(None);
+            return Ok(());
         }
-        block
-    };
-    for lane in 0..lanes {
-        let per_tile_cycles: Vec<u64> = shards[0].cycles.iter().map(|layer| layer[lane]).collect();
-        let mut membranes = Vec::with_capacity(output_width);
+        if matches!(packets.first(), Some(Packet::Block(_))) {
+            return self.record_block(packets, results, tally);
+        }
+        let shards = packets
+            .iter()
+            .map(Packet::frame)
+            .collect::<Result<Vec<_>, _>>()?;
+        debug_assert!(
+            shards.windows(2).all(|w| w[0].cycles == w[1].cycles),
+            "readout shards disagree on the cascade cycle chain"
+        );
+        let mut membranes = Vec::with_capacity(self.width);
         for shard in &shards {
-            let width = shard.slice.width();
-            membranes.extend_from_slice(&shard.membranes[lane * width..(lane + 1) * width]);
+            membranes.extend_from_slice(&shard.membranes);
         }
-        let logits: Vec<f32> = membranes
-            .iter()
-            .zip(output_bias)
-            .map(|(&m, &b)| m as f32 + b)
-            .collect();
-        let result = InferenceResult {
-            prediction: argmax(&logits),
-            logits,
-            membranes,
-            output_spikes: full.lane_frame(lane),
-            per_tile_cycles,
+        let output_spikes = if shards.len() == 1 {
+            shards[0].slice.clone()
+        } else {
+            let mut spikes = BitVec::new(self.width);
+            for (shard, &offset) in shards.iter().zip(&self.offsets) {
+                spikes.copy_bits_from(&shard.slice, offset);
+            }
+            spikes
         };
+        let result = InferenceResult::from_readout(
+            membranes,
+            &self.bias,
+            output_spikes,
+            shards[0].cycles.clone(),
+        );
         tally.tiles.record(&result);
-        tally.mesh_bottleneck_cycles += shards.iter().map(|s| s.pipe_max[lane]).max().unwrap_or(0);
-        tally.noc_latency_cycles += shards
-            .iter()
-            .map(|s| s.noc_latency[lane])
-            .max()
-            .unwrap_or(0);
+        tally.mesh_bottleneck_cycles += shards.iter().map(|s| s.pipe_max).max().unwrap_or(0);
+        tally.noc_latency_cycles += shards.iter().map(|s| s.noc_latency).max().unwrap_or(0);
         results.push(Some(result));
+        Ok(())
     }
-    Ok(())
+
+    /// [`record`](Self::record) for a block payload: every lane of the
+    /// readout block becomes its own result, in lane order.
+    fn record_block(
+        &self,
+        packets: &[Packet],
+        results: &mut Vec<Option<InferenceResult>>,
+        tally: &mut MeshTally,
+    ) -> Result<(), CoreError> {
+        let shards = packets
+            .iter()
+            .map(Packet::block)
+            .collect::<Result<Vec<_>, _>>()?;
+        debug_assert!(
+            shards.windows(2).all(|w| w[0].cycles == w[1].cycles),
+            "readout shards disagree on the cascade cycle chain"
+        );
+        let lanes = shards[0].slice.lanes();
+        let full = if shards.len() == 1 {
+            shards[0].slice.clone()
+        } else {
+            let mut block = FrameBlock::new(self.width, lanes);
+            for (shard, &offset) in shards.iter().zip(&self.offsets) {
+                block.copy_rows_from(&shard.slice, offset);
+            }
+            block
+        };
+        for lane in 0..lanes {
+            let mut membranes = Vec::with_capacity(self.width);
+            for shard in &shards {
+                let width = shard.slice.width();
+                membranes.extend_from_slice(&shard.membranes[lane * width..(lane + 1) * width]);
+            }
+            let per_tile_cycles = shards[0].cycles.iter().skip(lane).step_by(lanes);
+            let result = InferenceResult::from_readout(
+                membranes,
+                &self.bias,
+                full.lane_frame(lane),
+                per_tile_cycles.copied().collect(),
+            );
+            tally.tiles.record(&result);
+            tally.mesh_bottleneck_cycles +=
+                shards.iter().map(|s| s.pipe_max[lane]).max().unwrap_or(0);
+            tally.noc_latency_cycles += shards
+                .iter()
+                .map(|s| s.noc_latency[lane])
+                .max()
+                .unwrap_or(0);
+            results.push(Some(result));
+        }
+        Ok(())
+    }
 }
 
 /// Chrome-trace process id of mesh tracks in merged traces (the serving
@@ -604,9 +782,8 @@ pub struct MeshSystem {
     plan: MeshPlan,
     slots: Vec<CoreSlot>,
     stage_ranges: Vec<std::ops::Range<usize>>,
-    sink_offsets: Vec<usize>,
+    readout: Readout,
     pipeline: PipelineTiming,
-    output_bias: Vec<f32>,
     tally: MeshTally,
 }
 
@@ -671,34 +848,27 @@ impl MeshSystem {
                     link: *mesh.link_config(),
                     faults: *mesh.fault_plan(),
                     hand_offs: 0,
-                    dropped: 0,
-                    delayed: 0,
-                    stalls: 0,
-                    corrupted: 0,
-                    retransmits: 0,
+                    injected: MeshTally::default(),
+                    timeline: None,
                 });
                 current.push((id, cols.start));
             }
             stage_ranges.push(start..slots.len());
             prev = current;
         }
-        let sink_offsets = plan
-            .stages()
-            .last()
-            .expect("a plan has at least one stage")
-            .splits
-            .iter()
-            .map(|r| r.start)
-            .collect();
+        let readout = Readout {
+            offsets: prev.iter().map(|&(_, offset)| offset).collect(),
+            width: model.output_bias().len(),
+            bias: model.output_bias().to_vec(),
+        };
         Ok(Self {
             config: config.clone(),
             mesh: *mesh,
             plan,
             slots,
             stage_ranges,
-            sink_offsets,
+            readout,
             pipeline,
-            output_bias: model.output_bias().to_vec(),
             tally: MeshTally::default(),
         })
     }
@@ -747,11 +917,7 @@ impl MeshSystem {
                 }
             }
             slot.hand_offs = 0;
-            slot.dropped = 0;
-            slot.delayed = 0;
-            slot.stalls = 0;
-            slot.corrupted = 0;
-            slot.retransmits = 0;
+            slot.injected = MeshTally::default();
         }
         self.tally = MeshTally::default();
     }
@@ -791,15 +957,7 @@ impl MeshSystem {
     /// Returns [`CoreError::InputWidthMismatch`] for wrong-width frames
     /// and propagates per-core inference errors.
     pub fn run(&mut self, frames: &[BitVec]) -> Result<Vec<InferenceResult>, CoreError> {
-        let expected = self.plan.topology()[0];
-        for frame in frames {
-            if frame.len() != expected {
-                return Err(CoreError::InputWidthMismatch {
-                    expected,
-                    got: frame.len(),
-                });
-            }
-        }
+        self.check_widths(frames)?;
         if frames.is_empty() {
             return Ok(Vec::new());
         }
@@ -898,33 +1056,38 @@ impl MeshSystem {
         self.slots.iter().flat_map(|slot| slot.core.tiles())
     }
 
-    /// Whether the block payload is exact for the current mesh state: the
-    /// mesh-wide mirror of `EsamSystem::block_path_eligible`.
+    /// Whether the block payload is exact for the current mesh state:
+    /// every tile of every core is [`block_ready`](Tile::block_ready).
     fn block_eligible(&self) -> bool {
-        self.config.neuron().reset_policy() == ResetPolicy::EveryTimestep
-            && self.slots.iter().all(|slot| slot.core.block_eligible())
+        self.tiles().all(Tile::block_ready)
     }
 
-    /// Runs a batch on the sequential reference path while reconstructing
-    /// the pipeline's steady-state timeline in the modeled cycle domain:
-    /// per-core `frame` occupancy spans with fill/imbalance `bubble`
-    /// spans, per-link `hop` + `serialize` transfer spans, and injected
-    /// faults (`packet-drop`, `packet-delay`, `core-stall`, `frame-lost`)
-    /// as instants.
+    fn check_widths(&self, frames: &[BitVec]) -> Result<(), CoreError> {
+        let expected = self.plan.topology()[0];
+        match frames.iter().find(|frame| frame.len() != expected) {
+            Some(frame) => Err(CoreError::InputWidthMismatch {
+                expected,
+                got: frame.len(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Runs a batch on the sequential reference path with frame payloads,
+    /// recording the pipeline's steady-state timeline in the modeled cycle
+    /// domain: per-core `frame` occupancy spans with fill/imbalance
+    /// `bubble` spans, per-link `hop` + `serialize` transfer spans, and
+    /// injected faults (`packet-drop`, `packet-corrupt`, `packet-delay`,
+    /// `core-stall`, `frame-lost`) as instants. Event args carry the
+    /// frame's index within this call.
     ///
-    /// Results, tallies and every activity counter are exactly those of
-    /// [`run`](Self::run) under [`Execution::Sequential`] with frame
-    /// payloads — the walk invokes the same per-core handlers in the same
-    /// order. The timeline itself is pure cycle arithmetic over the
-    /// packets' accumulators and is therefore independent of execution
-    /// mode, thread scheduling and wall time: the cycle-domain Chrome
-    /// export of the returned [`Trace`] is byte-identical across runs.
-    ///
-    /// The queueing model: the feeder saturates stage 0 (a frame is
-    /// available the moment its core is free), a link delivers at its
-    /// producer's finish plus hop + serialization cycles, and each core
-    /// starts a frame at `max(own busy-until, latest in-port delivery)` —
-    /// any gap is pipeline dead time, emitted as a `bubble` span.
+    /// The timeline is drawn by the handlers as they charge (see the module
+    /// docs), so results, tallies and every activity counter are exactly
+    /// those of [`run`](Self::run) under [`Execution::Sequential`] with
+    /// frame payloads. It is pure cycle arithmetic, independent of wall
+    /// time: the cycle-domain Chrome export of the returned [`Trace`] is
+    /// byte-identical across runs. The fault-exempt recovery pass draws
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -935,235 +1098,28 @@ impl MeshSystem {
         frames: &[BitVec],
         trace_capacity: usize,
     ) -> Result<(Vec<InferenceResult>, Trace), CoreError> {
-        let expected = self.plan.topology()[0];
-        for frame in frames {
-            if frame.len() != expected {
-                return Err(CoreError::InputWidthMismatch {
-                    expected,
-                    got: frame.len(),
-                });
-            }
+        self.check_widths(frames)?;
+        let epoch = Instant::now();
+        // Link tracks take the tids past the core ids, in core then port
+        // order.
+        let mut link_tid = self.slots.len() as u32;
+        for slot in &mut self.slots {
+            let timeline = Timeline::new(&slot.core, &slot.ports, link_tid, trace_capacity, epoch);
+            link_tid += timeline.links.len() as u32;
+            slot.timeline = Some(timeline);
         }
-        let epoch = std::time::Instant::now();
-        let mut core_tracks: Vec<TrackTrace> = self
-            .slots
-            .iter()
-            .map(|slot| {
-                TrackTrace::with_epoch(
-                    MESH_TRACE_PID,
-                    slot.core.id() as u32,
-                    format!("core {} (stage {})", slot.core.id(), slot.core.stage()),
-                    trace_capacity,
-                    epoch,
-                )
-            })
-            .collect();
-        // One track per directed link, tids offset past the core ids.
-        let mut link_tracks: Vec<TrackTrace> = Vec::new();
-        let mut link_index: std::collections::BTreeMap<(usize, usize), usize> =
-            std::collections::BTreeMap::new();
-        for slot in &self.slots {
-            for port in &slot.ports {
-                if let Some(stats) = &port.link {
-                    let next = link_tracks.len();
-                    link_index.entry((stats.src, stats.dst)).or_insert_with(|| {
-                        link_tracks.push(TrackTrace::with_epoch(
-                            MESH_TRACE_PID,
-                            (self.slots.len() + next) as u32,
-                            format!("link {} -> {}", stats.src, stats.dst),
-                            trace_capacity,
-                            epoch,
-                        ));
-                        next
-                    });
-                }
-            }
-        }
-        let output_width = *self.plan.topology().last().expect("topology len >= 2");
-        let mut results: Vec<Option<InferenceResult>> = Vec::with_capacity(frames.len());
-        let mut tally = MeshTally::default();
-        // This frame's finish time per core (valid once the core's stage
-        // has run; stage order guarantees producers precede consumers).
-        let mut finish = vec![0u64; self.slots.len()];
-        let armed = self.mesh.fault_plan().corrupt_active();
-        for (frame_index, frame) in frames.iter().enumerate() {
-            let frame_arg = ("frame", frame_index as u64);
-            let mut prev = vec![feeder_frame(frame, armed)];
-            for stage in 0..self.stage_ranges.len() {
-                let range = self.stage_ranges[stage].clone();
-                let mut next = Vec::with_capacity(range.len());
-                for index in range {
-                    // Snapshot everything the timeline needs before the
-                    // handler mutates the slot. Fault decisions are pure
-                    // functions of (plan, hand-off, edge), so mirroring
-                    // them here reproduces the handler's verdicts exactly.
-                    let t_coord = self.slots[index].hand_offs;
-                    let slot_faults = self.slots[index].faults;
-                    let mesh_faulty = slot_faults.mesh_active();
-                    let link_cfg = self.slots[index].link;
-                    let core_id = self.slots[index].core.id() as u64;
-                    let port_meta: Vec<Option<(usize, usize, u64)>> = self.slots[index]
-                        .ports
-                        .iter()
-                        .map(|p| p.link.as_ref().map(|s| (s.src, s.dst, s.distance)))
-                        .collect();
-                    let input_lost = prev.iter().any(|p| matches!(p, Packet::Lost));
-                    let chain_len = prev
-                        .iter()
-                        .find_map(|p| match p {
-                            Packet::Frame(p) => Some(p.cycles.len()),
-                            _ => None,
-                        })
-                        .unwrap_or(0);
-
-                    let out = self.slots[index].handle(&prev, false)?;
-                    match &out {
-                        Packet::Lost => {
-                            if mesh_faulty && !input_lost {
-                                // This slot's own drop verdicts doomed the
-                                // frame (a propagated loss makes none).
-                                let mut dropped_here = false;
-                                for &(src, dst, _) in port_meta.iter().flatten() {
-                                    if slot_faults.packet_drop(t_coord, src as u64, dst as u64) {
-                                        dropped_here = true;
-                                        link_tracks[link_index[&(src, dst)]]
-                                            .instant("packet-drop", [Some(frame_arg), None]);
-                                    }
-                                }
-                                if !dropped_here {
-                                    // No drop fired, so the loss was a CRC
-                                    // retransmit budget running dry on
-                                    // some in-edge — replay the verdicts
-                                    // to find which.
-                                    for &(src, dst, _) in port_meta.iter().flatten() {
-                                        let (_, corrupted, retransmits, lost) = mirror_corrupt(
-                                            &slot_faults,
-                                            t_coord,
-                                            src as u64,
-                                            dst as u64,
-                                            0,
-                                            0,
-                                        );
-                                        if corrupted > 0 {
-                                            link_tracks[link_index[&(src, dst)]].instant(
-                                                "packet-corrupt",
-                                                [
-                                                    Some(frame_arg),
-                                                    Some(("retransmits", retransmits)),
-                                                ],
-                                            );
-                                        }
-                                        debug_assert!(
-                                            lost || corrupted == retransmits,
-                                            "a surviving edge retransmits once per upset"
-                                        );
-                                    }
-                                }
-                            }
-                            core_tracks[index].instant("frame-lost", [Some(frame_arg), None]);
-                            finish[index] = core_tracks[index].cursor();
-                        }
-                        Packet::Frame(out_packet) => {
-                            let mut avail = 0u64;
-                            for (port_pos, meta) in port_meta.iter().enumerate() {
-                                let Some(&(src, dst, distance)) = meta.as_ref() else {
-                                    continue; // feeder port: available at 0
-                                };
-                                let Packet::Frame(in_packet) = &prev[port_pos] else {
-                                    continue;
-                                };
-                                let events = in_packet.slice.count_ones() as u64;
-                                let hop = link_cfg.hop_latency * distance;
-                                let serialize = link_cfg.cycles(events, 0);
-                                let departed = finish[src];
-                                let track = &mut link_tracks[link_index[&(src, dst)]];
-                                track.span_at("hop", departed, hop, [Some(frame_arg), None]);
-                                track.span_at(
-                                    "serialize",
-                                    departed + hop,
-                                    serialize,
-                                    [Some(("events", events)), None],
-                                );
-                                let mut cost = hop + serialize;
-                                // Mirror the CRC verify + retransmit loop
-                                // the handler just ran on this edge (the
-                                // output is a Frame, so the retry budget
-                                // held).
-                                let (extra, corrupted, retransmits, lost) = mirror_corrupt(
-                                    &slot_faults,
-                                    t_coord,
-                                    src as u64,
-                                    dst as u64,
-                                    hop,
-                                    serialize,
-                                );
-                                debug_assert!(!lost, "a delivered frame exhausted no retry budget");
-                                if corrupted > 0 {
-                                    track.instant(
-                                        "packet-corrupt",
-                                        [Some(frame_arg), Some(("retransmits", retransmits))],
-                                    );
-                                }
-                                cost += extra;
-                                if mesh_faulty
-                                    && slot_faults.packet_delay(t_coord, src as u64, dst as u64)
-                                {
-                                    let extra = slot_faults.config().delay_cycles();
-                                    track.instant(
-                                        "packet-delay",
-                                        [Some(frame_arg), Some(("cycles", extra))],
-                                    );
-                                    cost += extra;
-                                }
-                                avail = avail.max(departed + cost);
-                            }
-                            let mut occupancy: u64 = out_packet.cycles[chain_len..].iter().sum();
-                            if mesh_faulty && slot_faults.core_stall(t_coord, core_id) {
-                                let extra = slot_faults.config().core_stall_cycles();
-                                core_tracks[index].instant(
-                                    "core-stall",
-                                    [Some(frame_arg), Some(("cycles", extra))],
-                                );
-                                occupancy += extra;
-                            }
-                            let track = &mut core_tracks[index];
-                            let busy_until = track.cursor();
-                            if avail > busy_until {
-                                track.span_at("bubble", busy_until, avail - busy_until, NO_ARGS);
-                                track.set_cursor(avail);
-                            }
-                            track.span("frame", occupancy, [Some(frame_arg), None]);
-                            finish[index] = track.cursor();
-                        }
-                        Packet::Block(_) => {
-                            return Err(CoreError::InvalidConfig(
-                                "block packets cannot appear on the traced frame walk".into(),
-                            ));
-                        }
-                    }
-                    next.push(out);
-                }
-                prev = next;
-            }
-            record_frame_sink(
-                &prev,
-                &self.sink_offsets,
-                output_width,
-                &self.output_bias,
-                &mut results,
-                &mut tally,
-            )?;
-        }
-        let results = self.finish_run(frames, results, tally)?;
+        let outcome = self.run_sequential(frames, false);
         let mut trace = Trace::new();
         trace.name_process(MESH_TRACE_PID, "esam-mesh");
-        for track in core_tracks {
-            trace.push(track);
+        for slot in &mut self.slots {
+            if let Some(timeline) = slot.timeline.take() {
+                trace.push(timeline.core);
+                for link in timeline.links {
+                    trace.push(link);
+                }
+            }
         }
-        for track in link_tracks {
-            trace.push(track);
-        }
-        Ok((results, trace))
+        Ok((outcome?, trace))
     }
 
     /// The retained single-threaded reference: stage order, frame by
@@ -1173,34 +1129,12 @@ impl MeshSystem {
         frames: &[BitVec],
         blocks: bool,
     ) -> Result<Vec<InferenceResult>, CoreError> {
-        let output_width = *self.plan.topology().last().expect("topology len >= 2");
-        let mut results: Vec<Option<InferenceResult>> = Vec::with_capacity(frames.len());
+        let mut results = Vec::with_capacity(frames.len());
         let mut tally = MeshTally::default();
-        if blocks {
-            for chunk in frames.chunks(FrameBlock::LANES) {
-                let packets = self.walk_stages(feeder_block(chunk), false)?;
-                record_block_sink(
-                    &packets,
-                    &self.sink_offsets,
-                    output_width,
-                    &self.output_bias,
-                    &mut results,
-                    &mut tally,
-                )?;
-            }
-        } else {
-            let armed = self.mesh.fault_plan().corrupt_active();
-            for frame in frames {
-                let packets = self.walk_stages(feeder_frame(frame, armed), false)?;
-                record_frame_sink(
-                    &packets,
-                    &self.sink_offsets,
-                    output_width,
-                    &self.output_bias,
-                    &mut results,
-                    &mut tally,
-                )?;
-            }
+        let armed = self.mesh.fault_plan().corrupt_active();
+        for packet in feed(frames, blocks, armed) {
+            let packets = self.walk_stages(packet, false)?;
+            self.readout.record(&packets, &mut results, &mut tally)?;
         }
         self.finish_run(frames, results, tally)
     }
@@ -1232,27 +1166,17 @@ impl MeshSystem {
         mut results: Vec<Option<InferenceResult>>,
         mut tally: MeshTally,
     ) -> Result<Vec<InferenceResult>, CoreError> {
-        let output_width = *self.plan.topology().last().expect("topology len >= 2");
         let armed = self.mesh.fault_plan().corrupt_active();
         // Frames past the sink's progress never completed (a dead
         // pipeline); they are gaps like any dropped frame.
-        while results.len() < frames.len() {
-            results.push(None);
-        }
+        results.resize(frames.len(), None);
         for (index, slot) in results.iter_mut().enumerate() {
             if slot.is_some() {
                 continue;
             }
             let packets = self.walk_stages(feeder_frame(&frames[index], armed), true)?;
             let mut recovered = Vec::with_capacity(1);
-            record_frame_sink(
-                &packets,
-                &self.sink_offsets,
-                output_width,
-                &self.output_bias,
-                &mut recovered,
-                &mut tally,
-            )?;
+            self.readout.record(&packets, &mut recovered, &mut tally)?;
             tally.frames_recovered += 1;
             *slot = recovered.pop().expect("one frame in, one result out");
             debug_assert!(
@@ -1261,11 +1185,7 @@ impl MeshSystem {
             );
         }
         for slot in &mut self.slots {
-            tally.packets_dropped += std::mem::take(&mut slot.dropped);
-            tally.packets_delayed += std::mem::take(&mut slot.delayed);
-            tally.core_stalls += std::mem::take(&mut slot.stalls);
-            tally.packets_corrupted += std::mem::take(&mut slot.corrupted);
-            tally.retransmits += std::mem::take(&mut slot.retransmits);
+            tally.merge(&std::mem::take(&mut slot.injected));
         }
         self.tally.merge(&tally);
         Ok(results
@@ -1333,35 +1253,16 @@ impl MeshSystem {
         } else {
             frames.len()
         };
-        let output_width = *self.plan.topology().last().expect("topology len >= 2");
         let link_timeout = self.mesh.link_timeout_budget();
         let armed = self.mesh.fault_plan().corrupt_active();
         let slots = &mut self.slots;
-        let sink_offsets = &self.sink_offsets;
-        let output_bias = &self.output_bias;
+        let readout = &self.readout;
 
         thread::scope(|scope| {
             let feeder = scope.spawn(move || {
-                let send_all = |packet: Packet| -> bool {
-                    let last = feed_tx.len() - 1;
-                    for tx in &feed_tx[..last] {
-                        if tx.send(packet.clone()).is_err() {
-                            return false;
-                        }
-                    }
-                    feed_tx[last].send(packet).is_ok()
-                };
-                if blocks {
-                    for chunk in frames.chunks(FrameBlock::LANES) {
-                        if !send_all(feeder_block(chunk)) {
-                            return;
-                        }
-                    }
-                } else {
-                    for frame in frames {
-                        if !send_all(feeder_frame(frame, armed)) {
-                            return;
-                        }
+                for packet in feed(frames, blocks, armed) {
+                    if !broadcast(&feed_tx, packet) {
+                        return;
                     }
                 }
             });
@@ -1398,13 +1299,7 @@ impl MeshSystem {
                         }));
                         match handled {
                             Ok(Ok(packet)) => {
-                                let last = txs.len() - 1;
-                                for tx in &txs[..last] {
-                                    if tx.send(packet.clone()).is_err() {
-                                        break 'hand_offs;
-                                    }
-                                }
-                                if txs[last].send(packet).is_err() {
+                                if !broadcast(&txs, packet) {
                                     break 'hand_offs;
                                 }
                             }
@@ -1442,26 +1337,7 @@ impl MeshSystem {
                         None => break 'sink,
                     }
                 }
-                let outcome = if blocks {
-                    record_block_sink(
-                        &packets,
-                        sink_offsets,
-                        output_width,
-                        output_bias,
-                        &mut results,
-                        &mut tally,
-                    )
-                } else {
-                    record_frame_sink(
-                        &packets,
-                        sink_offsets,
-                        output_width,
-                        output_bias,
-                        &mut results,
-                        &mut tally,
-                    )
-                };
-                if let Err(error) = outcome {
+                if let Err(error) = readout.record(&packets, &mut results, &mut tally) {
                     lock_recover(&errors).push(error);
                     break 'sink;
                 }

@@ -170,3 +170,55 @@ fn corruption_retransmits_surface_in_the_traced_timeline() {
     assert_eq!(plain_results, results);
     assert_eq!(*plain.tally(), tally);
 }
+
+#[test]
+fn multi_port_consumer_timeline_matches_the_plain_run() {
+    // [128, 300, 10] on 4 cores splits the wide layer into three column
+    // shards feeding one readout core, so that consumer has three
+    // in-ports: 4 core tracks + 3 link tracks. Clean and faulted, the
+    // traced run must equal the plain run and export the same bytes twice.
+    let (model, config) = build(&[128, 300, 10], 11);
+    let batch = frames(128, 24);
+    let faulty = FaultPlan::seeded(
+        0x3_0001,
+        FaultConfig::none()
+            .with_drop_rate(0.1)
+            .with_delay(0.3, 5)
+            .with_core_stall(0.3, 7)
+            .with_packet_corrupt_rate(0.4),
+    );
+    for plan in [FaultPlan::none(), faulty] {
+        let run_once = || {
+            let mut mesh =
+                MeshSystem::from_model(&model, &config, &mesh_config(4).faults(plan)).unwrap();
+            let shards: Vec<usize> = mesh.plan().stages().iter().map(|s| s.shards()).collect();
+            assert_eq!(shards, [3, 1], "three producers, one consumer");
+            let (results, trace) = mesh.run_traced(&batch, 4096).unwrap();
+            (results, trace, *mesh.tally())
+        };
+        let (results, trace, tally) = run_once();
+        assert_eq!(trace.tracks().len(), 7, "4 cores + 3 links");
+        assert_eq!(trace.total_dropped(), 0);
+        let json = trace.chrome_json(TimeDomain::Cycles);
+        let (results2, trace2, tally2) = run_once();
+        assert_eq!(results, results2);
+        assert_eq!(json, trace2.chrome_json(TimeDomain::Cycles));
+        assert_eq!(tally, tally2);
+
+        let mut plain =
+            MeshSystem::from_model(&model, &config, &mesh_config(4).faults(plan)).unwrap();
+        assert_eq!(plain.run(&batch).unwrap(), results);
+        assert_eq!(*plain.tally(), tally);
+        if plan.mesh_active() {
+            for kind in [
+                "packet-drop",
+                "packet-delay",
+                "core-stall",
+                "packet-corrupt",
+                "frame-lost",
+            ] {
+                assert!(json.contains(kind), "{kind} fires under the plan");
+            }
+        }
+    }
+}

@@ -835,8 +835,8 @@ fn worker_loop(
                     // independent of which worker serves it, of batch
                     // composition, and of retries (a replayed request
                     // hits the same weight bits and reproduces the same
-                    // response bit-for-bit). With integrity Off this is
-                    // exactly `infer_faulted` (oracle restore); with
+                    // response bit-for-bit). With integrity Off the
+                    // oracle restores the flips after the frame; with
                     // checking on, the flips stay in and the SECDED
                     // ladder recovers them.
                     working.infer_checked(&request.frame, request.id)

@@ -140,7 +140,7 @@ fn faulted_responses_are_identical_across_worker_counts() {
     let expected: Vec<_> = frames
         .iter()
         .enumerate()
-        .map(|(id, f)| sequential.infer_faulted(f, id as u64).unwrap())
+        .map(|(id, f)| sequential.infer_checked(f, id as u64).unwrap())
         .collect();
     let mut baseline: Option<BTreeMap<u64, Result<Response, ServeError>>> = None;
     for workers in [1usize, 2, 4] {

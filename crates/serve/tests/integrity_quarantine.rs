@@ -91,7 +91,7 @@ fn integrity_off_is_bit_identical_to_the_unprotected_service() {
     let mut sequential = small_system();
     sequential.set_fault_plan(plan).unwrap();
     let expected: Vec<_> = (0..48)
-        .map(|id| sequential.infer_faulted(&frame(id), id as u64).unwrap())
+        .map(|id| sequential.infer_checked(&frame(id), id as u64).unwrap())
         .collect();
     let service = EsamService::start(
         &small_system(),
