@@ -45,7 +45,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use esam_bits::{BitMatrix, BitVec, FrameBlock};
+use esam_bits::{BitMatrix, BitVec};
 
 use crate::config::{BatchConfig, EpochConfig, WeightMergePolicy};
 use crate::error::CoreError;
@@ -166,53 +166,18 @@ impl BatchEngine {
                 "metrics need at least one frame".into(),
             ));
         }
-        let shard_tallies = self.run_sharded(frames)?;
-        let mut tally = BatchTally::default();
-        for shard in &shard_tallies {
-            tally.merge(shard);
-        }
-        self.reference.reset_stats();
-        for worker in &self.workers {
-            self.reference.absorb_stats(worker);
-        }
-        self.reference.finalize_metrics(&tally)
-    }
-
-    /// [`measure`](Self::measure) on the batch-major bit-sliced path:
-    /// workers claim chunks rounded up to whole [`FrameBlock::LANES`]-frame
-    /// blocks (so almost every block runs with all 64 lanes occupied) and
-    /// run them through [`EsamSystem::infer_block`]. Bit-identical to
-    /// [`EsamSystem::measure_batch`] — and to [`measure`](Self::measure) —
-    /// on the same frames at every thread count: the block path reproduces
-    /// every counter of the sequential walk, and the counters merge under
-    /// the same exact law.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for an empty batch and
-    /// propagates the first worker error otherwise.
-    pub fn measure_bitsliced(&mut self, frames: &[BitVec]) -> Result<SystemMetrics, CoreError> {
-        if frames.is_empty() {
-            return Err(CoreError::InvalidConfig(
-                "metrics need at least one frame".into(),
-            ));
-        }
-        let base = self
-            .config
-            .effective_chunk_size(frames.len(), self.workers.len());
-        let chunk_size = base.div_ceil(FrameBlock::LANES).max(1) * FrameBlock::LANES;
-        let tallies: Mutex<Vec<BatchTally>> =
-            Mutex::new(vec![BatchTally::default(); self.threads()]);
-        self.run_workers_chunked(frames, chunk_size, |worker_index, _, chunk, worker| {
-            let tally = worker.run_frames_bitsliced(chunk)?;
-            tallies.lock().expect("tally sink poisoned")[worker_index].merge(&tally);
+        // Tally merges are exact u64 sums, so the order in which chunks
+        // land in the sink cannot change the result.
+        let tally = Mutex::new(BatchTally::default());
+        self.run_workers(frames, |_, chunk, worker| {
+            let chunk_tally = worker.run_frames(chunk)?;
+            tally
+                .lock()
+                .expect("tally sink poisoned")
+                .merge(&chunk_tally);
             Ok(())
         })?;
-        let shard_tallies = tallies.into_inner().expect("tally sink poisoned");
-        let mut tally = BatchTally::default();
-        for shard in &shard_tallies {
-            tally.merge(shard);
-        }
+        let tally = tally.into_inner().expect("tally sink poisoned");
         self.reference.reset_stats();
         for worker in &self.workers {
             self.reference.absorb_stats(worker);
@@ -242,7 +207,7 @@ impl BatchEngine {
     pub fn infer_batch(&mut self, frames: &[BitVec]) -> Result<Vec<InferenceResult>, CoreError> {
         let collected: Mutex<Vec<(usize, Vec<InferenceResult>)>> =
             Mutex::new(Vec::with_capacity(frames.len()));
-        self.run_workers(frames, |_, chunk_start, chunk, worker| {
+        self.run_workers(frames, |chunk_start, chunk, worker| {
             let mut results = Vec::with_capacity(chunk.len());
             for (offset, frame) in chunk.iter().enumerate() {
                 results.push(worker.infer_checked(frame, (chunk_start + offset) as u64)?);
@@ -344,58 +309,28 @@ impl BatchEngine {
         // self-contained sequential walks whose results cannot depend on
         // which thread runs them.
         let threads = self.config.threads().min(shards).max(1);
-        let cursor = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(0);
-        let errors: Mutex<Vec<CoreError>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let cursor = &cursor;
-                let failed = &failed;
-                let errors = &errors;
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    if failed.load(Ordering::Relaxed) != 0 {
-                        return;
-                    }
-                    let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = slots.get(shard) else {
-                        return;
-                    };
-                    let mut slot = slot.lock().expect("shard slot poisoned");
-                    let range = slot.range.clone();
-                    let mut session = OnlineSession::with_curve_interval(
-                        &mut slot.system,
-                        epoch.rule(),
-                        epoch.seed() ^ shard as u64,
-                        epoch.curve_interval_samples(),
-                    );
-                    let mut run = || -> Result<(), CoreError> {
-                        for (frame, label) in &samples[range.clone()] {
-                            session.learn_sample(frame, *label as usize)?;
-                        }
-                        Ok(())
-                    };
-                    match run() {
-                        Ok(()) => {
-                            let result = (
-                                *session.tally(),
-                                *session.batch_tally(),
-                                session.curve().clone(),
-                            );
-                            slot.result = Some(result);
-                        }
-                        Err(e) => {
-                            failed.store(1, Ordering::Relaxed);
-                            errors.lock().expect("error sink poisoned").push(e);
-                            return;
-                        }
-                    }
-                });
+        claim_chunks(0..threads, shards, 1, |_, claimed| {
+            for shard in claimed {
+                let mut slot = slots[shard].lock().expect("shard slot poisoned");
+                let range = slot.range.clone();
+                let mut session = OnlineSession::with_curve_interval(
+                    &mut slot.system,
+                    epoch.rule(),
+                    epoch.seed() ^ shard as u64,
+                    epoch.curve_interval_samples(),
+                );
+                for (frame, label) in &samples[range] {
+                    session.learn_sample(frame, *label as usize)?;
+                }
+                let result = (
+                    *session.tally(),
+                    *session.batch_tally(),
+                    session.curve().clone(),
+                );
+                slot.result = Some(result);
             }
-        });
-        if let Some(error) = errors.into_inner().expect("error sink poisoned").pop() {
-            return Err(error);
-        }
+            Ok(())
+        })?;
 
         // Extract the shard outcomes (deterministic shard order from here
         // on: every fold below walks slots 0..shards).
@@ -427,86 +362,81 @@ impl BatchEngine {
         })
     }
 
-    /// Resets all workers and runs the shard loop, returning one
-    /// [`BatchTally`] per worker.
-    fn run_sharded(&mut self, frames: &[BitVec]) -> Result<Vec<BatchTally>, CoreError> {
-        let tallies: Mutex<Vec<BatchTally>> =
-            Mutex::new(vec![BatchTally::default(); self.threads()]);
-        self.run_workers(frames, |worker_index, _, chunk, worker| {
-            let tally = worker.run_frames(chunk)?;
-            tallies.lock().expect("tally sink poisoned")[worker_index].merge(&tally);
-            Ok(())
-        })?;
-        Ok(tallies.into_inner().expect("tally sink poisoned"))
-    }
-
-    /// The scheduling core: resets every worker, then lets each claim
-    /// chunks from a shared cursor and feed them to `serve(worker_index,
-    /// chunk_start, chunk, worker)` until the batch is exhausted. The first
-    /// error aborts remaining chunks and is propagated.
+    /// Resets every worker, then runs [`claim_chunks`] over the pool:
+    /// each worker feeds the chunks of
+    /// [`BatchConfig::effective_chunk_size`] frames it claims to
+    /// `serve(chunk_start, chunk, worker)`.
     fn run_workers<F>(&mut self, frames: &[BitVec], serve: F) -> Result<(), CoreError>
     where
-        F: Fn(usize, usize, &[BitVec], &mut EsamSystem) -> Result<(), CoreError> + Sync,
-    {
-        let chunk_size = self
-            .config
-            .effective_chunk_size(frames.len(), self.workers.len());
-        self.run_workers_chunked(frames, chunk_size, serve)
-    }
-
-    /// [`run_workers`](Self::run_workers) with an explicit chunk size (the
-    /// bit-sliced path rounds chunks up to whole 64-lane blocks).
-    ///
-    /// A fresh [`std::thread::scope`] is opened per call on purpose: the
-    /// closure borrows the caller's `frames` slice, and under
-    /// `forbid(unsafe_code)` a long-lived thread pool could not hold that
-    /// borrow across calls. OS-thread spawn cost is nanoseconds-to-
-    /// microseconds against milliseconds-to-seconds of simulation per
-    /// chunk; what *is* worth hoisting — cloning the tile cascade per
-    /// worker — happens once in [`Self::new`] / [`Self::set_threads`], not
-    /// here.
-    fn run_workers_chunked<F>(
-        &mut self,
-        frames: &[BitVec],
-        chunk_size: usize,
-        serve: F,
-    ) -> Result<(), CoreError>
-    where
-        F: Fn(usize, usize, &[BitVec], &mut EsamSystem) -> Result<(), CoreError> + Sync,
+        F: Fn(usize, &[BitVec], &mut EsamSystem) -> Result<(), CoreError> + Sync,
     {
         for worker in &mut self.workers {
             worker.reset_stats();
         }
-        let cursor = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(0);
-        let errors: Mutex<Vec<CoreError>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (worker_index, worker) in self.workers.iter_mut().enumerate() {
-                let cursor = &cursor;
-                let failed = &failed;
-                let errors = &errors;
-                let serve = &serve;
-                scope.spawn(move || loop {
-                    if failed.load(Ordering::Relaxed) != 0 {
-                        return;
-                    }
-                    let start = cursor.fetch_add(chunk_size, Ordering::Relaxed);
-                    if start >= frames.len() {
-                        return;
-                    }
-                    let end = (start + chunk_size).min(frames.len());
-                    if let Err(e) = serve(worker_index, start, &frames[start..end], worker) {
-                        failed.store(1, Ordering::Relaxed);
-                        errors.lock().expect("error sink poisoned").push(e);
-                        return;
-                    }
-                });
-            }
-        });
-        match errors.into_inner().expect("error sink poisoned").pop() {
-            Some(error) => Err(error),
-            None => Ok(()),
+        let chunk_size = self
+            .config
+            .effective_chunk_size(frames.len(), self.workers.len());
+        claim_chunks(
+            self.workers.iter_mut(),
+            frames.len(),
+            chunk_size,
+            |worker, claimed| serve(claimed.start, &frames[claimed], worker),
+        )
+    }
+}
+
+/// The engine's one scheduler: a scoped thread per item of `workers`
+/// claims `chunk_size`-long ranges of `0..len` from a shared cursor and
+/// feeds each to `serve(worker, range)` until the cursor runs past `len`.
+/// The first error stops further claims and is propagated.
+///
+/// A fresh [`std::thread::scope`] is opened per call on purpose: the
+/// closure borrows the caller's frames or samples, and under
+/// `forbid(unsafe_code)` a long-lived thread pool could not hold that
+/// borrow across calls. OS-thread spawn cost is nanoseconds-to-
+/// microseconds against milliseconds-to-seconds of simulation per
+/// chunk; what *is* worth hoisting — cloning the tile cascade per
+/// worker — happens once in [`BatchEngine::new`] /
+/// [`BatchEngine::set_threads`], not here.
+fn claim_chunks<W, F>(
+    workers: impl IntoIterator<Item = W>,
+    len: usize,
+    chunk_size: usize,
+    serve: F,
+) -> Result<(), CoreError>
+where
+    W: Send,
+    F: Fn(&mut W, std::ops::Range<usize>) -> Result<(), CoreError> + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicUsize::new(0);
+    let errors: Mutex<Vec<CoreError>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for mut worker in workers {
+            let cursor = &cursor;
+            let failed = &failed;
+            let errors = &errors;
+            let serve = &serve;
+            scope.spawn(move || loop {
+                if failed.load(Ordering::Relaxed) != 0 {
+                    return;
+                }
+                let start = cursor.fetch_add(chunk_size, Ordering::Relaxed);
+                if start >= len {
+                    return;
+                }
+                let end = (start + chunk_size).min(len);
+                if let Err(e) = serve(&mut worker, start..end) {
+                    failed.store(1, Ordering::Relaxed);
+                    errors.lock().expect("error sink poisoned").push(e);
+                    return;
+                }
+            });
         }
+    });
+    match errors.into_inner().expect("error sink poisoned").pop() {
+        Some(error) => Err(error),
+        None => Ok(()),
     }
 }
 
@@ -667,25 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_batch_parallel_leaves_sequential_counter_state() {
-        let batch = frames(19, 7);
-        let mut sequential = system();
-        sequential.measure_batch(&batch).unwrap();
-        let mut parallel = system();
-        parallel
-            .measure_batch_parallel(&batch, &BatchConfig::with_threads(4))
-            .unwrap();
-        for (a, b) in sequential.tiles().iter().zip(parallel.tiles()) {
-            assert_eq!(a.stats(), b.stats());
-            assert_eq!(a.array_stats(), b.array_stats());
-        }
-        assert_eq!(
-            sequential.accumulated_energy().unwrap(),
-            parallel.accumulated_energy().unwrap()
-        );
-    }
-
-    #[test]
     fn worker_errors_propagate() {
         let mut engine = BatchEngine::new(&system(), &BatchConfig::with_threads(2));
         let mut batch = frames(8, 4);
@@ -725,12 +636,6 @@ mod tests {
         assert_eq!(engine.measure(&batch).unwrap(), reference);
         engine.set_threads(6);
         assert_eq!(engine.threads(), 1, "resizing must respect the clamp");
-
-        let mut parallel = EsamSystem::from_model(&model, &config).unwrap();
-        let metrics = parallel
-            .measure_batch_parallel(&batch, &BatchConfig::with_threads(4))
-            .unwrap();
-        assert_eq!(metrics, reference);
     }
 
     #[test]

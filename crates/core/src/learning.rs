@@ -269,15 +269,14 @@ impl LearningCurve {
     /// Default checkpoint spacing.
     pub const DEFAULT_INTERVAL: u64 = 25;
 
-    /// Creates an empty curve that checkpoints every `interval` samples.
+    /// Creates an empty curve that checkpoints every `interval` samples
+    /// (clamped to at least 1, as [`EpochConfig::curve_interval`] clamps
+    /// it).
     ///
-    /// # Panics
-    ///
-    /// Panics when `interval` is zero.
+    /// [`EpochConfig::curve_interval`]: crate::EpochConfig::curve_interval
     pub fn new(interval: u64) -> Self {
-        assert!(interval > 0, "curve interval must be non-zero");
         Self {
-            interval,
+            interval: interval.max(1),
             running: RunningAccuracy::new(),
             points: Vec::new(),
         }
@@ -417,11 +416,8 @@ impl<'s> OnlineSession<'s> {
         Self::with_curve_interval(system, rule, seed, LearningCurve::DEFAULT_INTERVAL)
     }
 
-    /// Like [`new`](Self::new) with an explicit curve checkpoint interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `curve_interval` is zero.
+    /// Like [`new`](Self::new) with an explicit curve checkpoint interval
+    /// (clamped to at least 1; see [`LearningCurve::new`]).
     pub fn with_curve_interval(
         system: &'s mut EsamSystem,
         rule: StdpRule,
@@ -609,6 +605,30 @@ mod tests {
         assert!(
             energy_gain > 10.0 && energy_gain < 40.0,
             "energy gain {energy_gain:.1} should be in the paper's 19.5x class"
+        );
+    }
+
+    #[test]
+    fn zero_curve_interval_records_a_point_per_sample() {
+        let net = esam_nn::BnnNetwork::new(&[128, 10], 3).unwrap();
+        let model = esam_nn::SnnModel::from_bnn(&net).unwrap();
+        let config = SystemConfig::builder(BitcellKind::multiport(4).unwrap(), &[128, 10])
+            .build()
+            .unwrap();
+        let mut system = EsamSystem::from_model(&model, &config).unwrap();
+        let mut session =
+            OnlineSession::with_curve_interval(&mut system, StdpRule::paper_default(), 7, 0);
+        for (i, label) in [3, 1, 4, 1, 5].into_iter().enumerate() {
+            let frame = BitVec::from_indices(128, &[i, 40 + i, 90 + i]);
+            session.learn_sample(&frame, label).unwrap();
+        }
+        let curve = session.curve();
+        assert_eq!(curve.interval(), 1);
+        let samples: Vec<u64> = curve.points().iter().map(|point| point.samples).collect();
+        assert_eq!(samples, [1, 2, 3, 4, 5]);
+        assert_eq!(
+            curve.points().last().unwrap().correct,
+            session.tally().correct
         );
     }
 

@@ -83,5 +83,5 @@ pub use learning::{
 };
 pub use metrics::{BatchTally, LearningSummary, LearningTally, SystemMetrics};
 pub use pipeline::{PipelineStage, PipelineTiming};
-pub use system::{EsamSystem, InferenceResult, SequenceResult, TracedInference};
+pub use system::{EsamSystem, InferenceResult, TracedInference};
 pub use tile::{Tile, TileStats, TileWeights};

@@ -16,9 +16,8 @@ use esam_obs::TraceScope;
 use esam_sram::{IntegrityMode, IntegrityTally};
 use esam_tech::units::{AreaUm2, Joules, Watts};
 
-use crate::batch::BatchEngine;
 use crate::cascade::{walk_block, walk_frame};
-use crate::config::{BatchConfig, SystemConfig};
+use crate::config::SystemConfig;
 use crate::error::CoreError;
 use crate::learning::{LearningCost, OnlineLearningEngine, SampleOutcome};
 use crate::metrics::{BatchTally, LearningSummary, SystemMetrics};
@@ -92,17 +91,6 @@ impl InferenceResult {
     pub fn total_cycles(&self) -> u64 {
         self.per_tile_cycles.iter().sum()
     }
-}
-
-/// Result of a temporal (multi-timestep) inference.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SequenceResult {
-    /// Argmax of the accumulated logits.
-    pub prediction: usize,
-    /// Logit evidence summed over all timesteps.
-    pub accumulated_logits: Vec<f32>,
-    /// The individual timestep results.
-    pub per_timestep: Vec<InferenceResult>,
 }
 
 /// A complete ESAM accelerator instance.
@@ -523,46 +511,6 @@ impl EsamSystem {
         Ok(self.apply_membrane_upsets(result, frame_id))
     }
 
-    /// Temporal (rate-coded) inference over a sequence of input frames —
-    /// the extension workload the paper's IF/static choice points at (§3.4:
-    /// an IF neuron was chosen *because* the test task is time-static).
-    ///
-    /// Each frame runs through the cascade as one timestep; the output
-    /// tile's membrane evidence is accumulated across timesteps and the
-    /// class is the argmax of the summed logits. With the default
-    /// `EveryTimestep` reset policy the timesteps are independent
-    /// (evidence accumulation happens in the readout); configuring
-    /// [`ResetPolicy::OnFire`](esam_neuron::ResetPolicy) via
-    /// [`SystemConfig`] makes the hidden membranes integrate across
-    /// timesteps too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for an empty sequence and
-    /// propagates per-frame inference errors.
-    pub fn infer_sequence(&mut self, frames: &[BitVec]) -> Result<SequenceResult, CoreError> {
-        if frames.is_empty() {
-            return Err(CoreError::InvalidConfig(
-                "temporal inference needs at least one frame".into(),
-            ));
-        }
-        let classes = self.output_bias.len();
-        let mut accumulated = vec![0.0f32; classes];
-        let mut per_timestep = Vec::with_capacity(frames.len());
-        for frame in frames {
-            let result = self.infer(frame)?;
-            for (acc, &logit) in accumulated.iter_mut().zip(&result.logits) {
-                *acc += logit;
-            }
-            per_timestep.push(result);
-        }
-        Ok(SequenceResult {
-            prediction: argmax(&accumulated),
-            accumulated_logits: accumulated,
-            per_timestep,
-        })
-    }
-
     /// Closes the online-learning loop for one labelled sample: infer,
     /// derive teacher signals from the observed output spike frame, and
     /// apply the signalled column updates to the *output* tile through the
@@ -677,9 +625,10 @@ impl EsamSystem {
     ///
     /// This is the sequential reference path; it shares its accumulation
     /// (`run_frames`) and finalization (`finalize_metrics`) with the
-    /// parallel engine, which is why
-    /// [`measure_batch_parallel`](Self::measure_batch_parallel) is
+    /// parallel engine, which is why [`BatchEngine::measure`] is
     /// bit-identical to it at any thread count.
+    ///
+    /// [`BatchEngine::measure`]: crate::BatchEngine::measure
     ///
     /// # Errors
     ///
@@ -694,46 +643,6 @@ impl EsamSystem {
         self.reset_stats();
         let tally = self.run_frames(frames)?;
         self.finalize_metrics(&tally)
-    }
-
-    /// Runs a batch sharded over [`BatchConfig::threads`] worker pipelines
-    /// and merges the shards into one [`SystemMetrics`].
-    ///
-    /// The result is **bit-identical** to [`measure_batch`](Self::measure_batch)
-    /// on the same frames for every thread count and chunk size: workers
-    /// only accumulate `u64` counters, which merge exactly, and the final
-    /// float arithmetic runs once over the merged counters (see
-    /// [`crate::metrics`] for the full argument). After the call, this
-    /// system's activity counters hold the whole batch — the same
-    /// post-state the sequential path leaves behind.
-    ///
-    /// One-off convenience wrapper around [`BatchEngine`]; build the engine
-    /// directly to amortize worker setup over many batches.
-    ///
-    /// # Errors
-    ///
-    /// Propagates inference errors; returns
-    /// [`CoreError::InvalidConfig`] for an empty batch.
-    pub fn measure_batch_parallel(
-        &mut self,
-        frames: &[BitVec],
-        config: &BatchConfig,
-    ) -> Result<SystemMetrics, CoreError> {
-        if config.threads() <= 1 || !crate::batch::frames_are_independent(self) {
-            // Sharding requires per-frame independence (the default
-            // EveryTimestep reset); a state-carrying reset policy walks the
-            // batch sequentially, where frame order is well-defined.
-            return self.measure_batch(frames);
-        }
-        let mut engine = BatchEngine::new(self, config);
-        let metrics = engine.measure(frames)?;
-        // Leave this system's counters holding the whole batch, exactly as
-        // the sequential path would.
-        self.reset_stats();
-        for worker in engine.workers() {
-            self.absorb_stats(worker);
-        }
-        Ok(metrics)
     }
 
     /// Accumulation core shared by the sequential and parallel paths: runs
@@ -759,7 +668,11 @@ impl EsamSystem {
     /// are per-read, while the block path reads raw packed words once per
     /// block — so either takes the sequential walk. Stuck-at faults live in
     /// the weights themselves and keep the block path (and its exactness).
-    pub(crate) fn block_path_eligible(&self) -> bool {
+    ///
+    /// [`infer_block`](Self::infer_block) consults this itself; callers
+    /// that group frames differently for each path (the `esam-serve`
+    /// workers' supervision units) ask it up front.
+    pub fn block_path_eligible(&self) -> bool {
         !self.faults.transient_active()
             && !self.integrity.checks()
             && self.tiles.iter().all(Tile::block_ready)
@@ -775,8 +688,8 @@ impl EsamSystem {
     /// looping [`infer`](Self::infer) over the same frames in order
     /// (property-tested in `tests/bitslice_equivalence.rs`). When the
     /// system state or configuration rules the block path out (see
-    /// `block_path_eligible`), the frames run through the sequential walk
-    /// instead, so the call is *always* exact.
+    /// [`block_path_eligible`](Self::block_path_eligible)), the frames run
+    /// through the sequential walk instead, so the call is *always* exact.
     ///
     /// An empty slice yields an empty result vector.
     ///
@@ -897,28 +810,11 @@ impl EsamSystem {
             ));
         }
         self.reset_stats();
-        let tally = self.run_frames_bitsliced(frames)?;
-        self.finalize_metrics(&tally)
-    }
-
-    /// Accumulation core of the bit-sliced path: one [`FrameBlock`] at a
-    /// time through [`infer_block`](Self::infer_block), tallying exactly
-    /// like [`run_frames`](Self::run_frames).
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-block inference errors.
-    pub(crate) fn run_frames_bitsliced(
-        &mut self,
-        frames: &[BitVec],
-    ) -> Result<BatchTally, CoreError> {
         let mut tally = BatchTally::default();
-        for chunk in frames.chunks(FrameBlock::LANES) {
-            for result in self.infer_block(chunk)? {
-                tally.record(&result);
-            }
+        for result in self.infer_block(frames)? {
+            tally.record(&result);
         }
-        Ok(tally)
+        self.finalize_metrics(&tally)
     }
 
     /// Finalization core shared by the sequential and parallel paths (and
@@ -1097,51 +993,6 @@ mod tests {
         assert!(e2 > e1);
         system.reset_stats();
         assert!(system.accumulated_energy().unwrap().is_zero());
-    }
-
-    #[test]
-    fn temporal_inference_accumulates_evidence() {
-        let (mut system, model) = small_system(BitcellKind::multiport(4).unwrap());
-        let frame = random_frame(128, 5);
-        let single = system.infer(&frame).unwrap();
-        let sequence = system
-            .infer_sequence(&[frame.clone(), frame.clone(), frame])
-            .unwrap();
-        // EveryTimestep reset: identical frames → logits sum linearly.
-        for (acc, single_logit) in sequence.accumulated_logits.iter().zip(&single.logits) {
-            assert!((acc - 3.0 * single_logit).abs() < 1e-3);
-        }
-        assert_eq!(sequence.prediction, single.prediction);
-        assert_eq!(sequence.per_timestep.len(), 3);
-        let _ = model;
-    }
-
-    #[test]
-    fn temporal_inference_rejects_empty_sequence() {
-        let (mut system, _) = small_system(BitcellKind::Std6T);
-        assert!(system.infer_sequence(&[]).is_err());
-    }
-
-    #[test]
-    fn temporal_majority_beats_a_noisy_frame() {
-        // Two clean frames outvote one corrupted frame of a different class.
-        // The untrained network gives no general guarantee here, so the
-        // seeds are chosen such that the two frames map to different classes
-        // AND the doubled clean evidence dominates (§3.4's rate-coded
-        // readout); seeds 0/5 satisfy both with the deterministic RNG.
-        let (mut system, _) = small_system(BitcellKind::multiport(2).unwrap());
-        let clean = random_frame(128, 0);
-        let noisy = random_frame(128, 5);
-        let clean_class = system.infer(&clean).unwrap().prediction;
-        let noisy_class = system.infer(&noisy).unwrap().prediction;
-        assert_ne!(
-            clean_class, noisy_class,
-            "seeds must map to different classes"
-        );
-        let sequence = system
-            .infer_sequence(&[clean.clone(), noisy, clean])
-            .unwrap();
-        assert_eq!(sequence.prediction, clean_class);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Dynamic micro-batching: the size-or-deadline coalescing scheduler.
+//! Dynamic micro-batching: the size-or-deadline coalescing trigger.
 //!
-//! A worker never serves requests straight off the queue; it asks its
-//! [`MicroBatcher`] for the next batch. The batcher blocks while the queue
-//! is empty, then coalesces whatever is queued — up to
+//! A worker never serves requests straight off the queue; it pulls the
+//! next batch under its [`BatchPolicy`]. The queue blocks while it is
+//! empty, then coalesces whatever is queued — up to
 //! [`BatchPolicy::max_batch`] requests, waiting at most
 //! [`BatchPolicy::max_wait`] for stragglers (the standard dynamic-batching
 //! shape). Batching amortizes the per-dispatch synchronization (one queue
@@ -11,10 +11,7 @@
 
 use std::time::Duration;
 
-use crate::queue::RequestQueue;
-use crate::request::PendingRequest;
-
-/// The size-or-deadline trigger of the micro-batcher.
+/// The size-or-deadline micro-batching trigger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     max_batch: usize,
@@ -82,30 +79,6 @@ impl Default for BatchPolicy {
     }
 }
 
-/// The per-worker batch scheduler (a [`BatchPolicy`] plus the pull loop).
-#[derive(Debug, Clone)]
-pub struct MicroBatcher {
-    policy: BatchPolicy,
-}
-
-impl MicroBatcher {
-    /// Creates a batcher with the given trigger policy.
-    pub fn new(policy: BatchPolicy) -> Self {
-        Self { policy }
-    }
-
-    /// The trigger policy.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
-    }
-
-    /// Blocks for the next micro-batch; `None` means the queue is closed
-    /// and drained — the worker's exit signal.
-    pub(crate) fn next_batch(&self, queue: &RequestQueue) -> Option<Vec<PendingRequest>> {
-        queue.pop_batch(&self.policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,11 +101,5 @@ mod tests {
         assert_eq!(policy.max_batch(), 128, "alignment leaves the cap alone");
         let clamped = BatchPolicy::greedy(8).slice_aligned(0);
         assert_eq!(clamped.slice_width(), 1, "width clamps to 1");
-    }
-
-    #[test]
-    fn batcher_exposes_its_policy() {
-        let batcher = MicroBatcher::new(BatchPolicy::greedy(4));
-        assert_eq!(batcher.policy().max_batch(), 4);
     }
 }

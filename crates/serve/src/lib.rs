@@ -11,9 +11,9 @@
 //!    (block / reject / drop-oldest) as the backpressure boundary: offered
 //!    load beyond capacity is shed at the front door instead of growing an
 //!    unbounded buffer.
-//! 2. [`MicroBatcher`] — the size-or-deadline coalescing trigger
-//!    ([`BatchPolicy`]): workers serve whatever is queued, up to
-//!    `max_batch`, waiting at most `max_wait` for stragglers.
+//! 2. [`BatchPolicy`] — the size-or-deadline micro-batching trigger:
+//!    workers pull whatever is queued, up to `max_batch`, waiting at most
+//!    `max_wait` for stragglers.
 //! 3. [`EsamService`] — the worker pool: N cheap clones of the tile
 //!    cascade (weights shared behind `Arc`, as in the offline engine),
 //!    each fulfilling per-request [`Ticket`]s.
@@ -76,7 +76,7 @@ pub mod request;
 pub mod service;
 mod sync;
 
-pub use batcher::{BatchPolicy, MicroBatcher};
+pub use batcher::BatchPolicy;
 pub use error::ServeError;
 pub use esam_core::{IntegrityMode, IntegrityTally};
 pub use esam_fault::{FaultConfig, FaultPlan, FaultTally};

@@ -3,10 +3,9 @@
 //!
 //! All coordination is `std::sync::{Mutex, Condvar}`: producers push under
 //! an [`AdmissionPolicy`]; worker threads pull coalesced batches through
-//! the [`MicroBatcher`](crate::MicroBatcher), which drives the queue's
-//! internal size-or-deadline batch extraction. Closing the queue stops
-//! intake but lets workers drain what was already admitted, so every
-//! admitted ticket resolves.
+//! the queue's size-or-deadline batch extraction, triggered by their
+//! [`BatchPolicy`]. Closing the queue stops intake but lets workers drain
+//! what was already admitted, so every admitted ticket resolves.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

@@ -1,18 +1,25 @@
-//! The inference service: bounded queue → micro-batcher → worker pool.
+//! The inference service: bounded queue → micro-batches → worker pool.
 //!
 //! [`EsamService::start`] clones the source [`EsamSystem`] once per worker
 //! (cheap: tiles share their weight arrays behind `Arc`, only the mutable
 //! neuron/scratch state is duplicated — the same sharing the offline
 //! [`BatchEngine`](esam_core::BatchEngine) relies on) and spawns one plain
-//! `std::thread` per worker. Each worker loops: pull a micro-batch, run
-//! every frame through its own pipeline clone, fulfil the tickets, flush
-//! the batch's latency samples into the shared metrics under one lock.
-//! Batches of at least [`FrameBlock::LANES`](esam_bits::FrameBlock::LANES)
-//! requests advance through the batch-major bit-sliced kernel
+//! `std::thread` per worker. Each worker loops: pull a micro-batch off the
+//! queue under its [`BatchPolicy`], run it through its own pipeline clone
+//! as supervised *units*, fulfil the tickets, flush the batch's latency
+//! samples and counters into the shared metrics under one lock.
+//!
+//! A unit is the requests one `catch_unwind` covers: the whole batch when
+//! it holds at least [`FrameBlock::LANES`](esam_bits::FrameBlock::LANES)
+//! requests, no serve-domain fault is planned and the pipeline is
+//! [`block_path_eligible`](esam_core::EsamSystem::block_path_eligible)
+//! (no transient faults, no integrity checking, every tile ready), and one
+//! request otherwise. A whole-batch unit advances through the batch-major
+//! bit-sliced kernel
 //! ([`EsamSystem::infer_block`](esam_core::EsamSystem::infer_block)) — 64
 //! frames per machine word — which is bit-identical to the per-request
-//! walk; pair it with [`BatchPolicy::slice_aligned`] so the micro-batcher
-//! prefers lane-width multiples.
+//! walk; pair it with [`BatchPolicy::slice_aligned`] so the queue prefers
+//! lane-width multiples.
 //!
 //! Results are **bit-identical** to calling
 //! [`EsamSystem::infer`](esam_core::EsamSystem::infer) sequentially on the
@@ -22,6 +29,7 @@
 //! response (pinned across worker counts and policies by
 //! `tests/determinism.rs`).
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +45,7 @@ use esam_fault::{FaultPlan, FaultTally};
 use esam_obs::{Trace, TraceConfig, TraceScope, TrackTrace};
 use esam_tech::units::{Joules, Seconds};
 
-use crate::batcher::{BatchPolicy, MicroBatcher};
+use crate::batcher::BatchPolicy;
 use crate::error::ServeError;
 use crate::health::{HealthMonitor, HealthPolicy, HealthVerdict};
 use crate::metrics::{CycleSummary, LatencyHistogram, LatencySummary};
@@ -234,24 +242,12 @@ struct BatchSamples {
     cycles: u64,
 }
 
-/// Per-batch resilience counters a worker accumulates locally and flushes
-/// with the latency samples — plain u64 sums, so the shutdown fold obeys
-/// the same exact merge law as every other counter in the stack.
-#[derive(Default)]
-struct BatchFaults {
-    failed: u64,
-    restarts: u64,
-    retries: u64,
-    deadline_shed: u64,
-    stalls: u64,
-    quarantines: u64,
-}
-
-/// The shared, mutex-guarded metrics collector.
-struct SharedMetrics {
-    wall_ns: LatencyHistogram,
-    wait_ns: LatencyHistogram,
-    cycles: LatencyHistogram,
+/// Request and resilience counters a worker accumulates per batch and
+/// merges into the shared collector with the latency samples — plain u64
+/// sums, so the shutdown fold obeys the same exact merge law as every
+/// other counter in the stack.
+#[derive(Debug, Default)]
+struct WorkerCounters {
     completed: u64,
     failed: u64,
     batches: u64,
@@ -261,27 +257,30 @@ struct SharedMetrics {
     deadline_shed: u64,
     worker_stalls: u64,
     quarantines: u64,
-    last_done: Option<Instant>,
 }
 
-impl SharedMetrics {
-    fn new() -> Self {
-        Self {
-            wall_ns: LatencyHistogram::new(),
-            wait_ns: LatencyHistogram::new(),
-            cycles: LatencyHistogram::new(),
-            completed: 0,
-            failed: 0,
-            batches: 0,
-            batched_requests: 0,
-            worker_restarts: 0,
-            retries: 0,
-            deadline_shed: 0,
-            worker_stalls: 0,
-            quarantines: 0,
-            last_done: None,
-        }
+impl WorkerCounters {
+    fn merge(&mut self, other: &Self) {
+        self.completed += other.completed;
+        self.failed += other.failed;
+        self.batches += other.batches;
+        self.batched_requests += other.batched_requests;
+        self.worker_restarts += other.worker_restarts;
+        self.retries += other.retries;
+        self.deadline_shed += other.deadline_shed;
+        self.worker_stalls += other.worker_stalls;
+        self.quarantines += other.quarantines;
     }
+}
+
+/// The shared, mutex-guarded metrics collector.
+#[derive(Debug, Default)]
+struct SharedMetrics {
+    wall_ns: LatencyHistogram,
+    wait_ns: LatencyHistogram,
+    cycles: LatencyHistogram,
+    totals: WorkerCounters,
+    last_done: Option<Instant>,
 }
 
 /// A running inference service over a worker pool of system clones.
@@ -324,15 +323,6 @@ pub struct EsamService {
 /// Perfetto process id under which serve-worker tracks are exported.
 pub const SERVE_TRACE_PID: u32 = 1;
 
-impl fmt::Debug for SharedMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedMetrics")
-            .field("completed", &self.completed)
-            .field("batches", &self.batches)
-            .finish()
-    }
-}
-
 impl EsamService {
     /// Starts the service: clones `system` once per worker (installing the
     /// configured [`FaultPlan`] on each clone) and spawns the worker pool.
@@ -346,7 +336,7 @@ impl EsamService {
     /// instead of queueing requests nobody will serve.
     pub fn start(system: &EsamSystem, config: ServeConfig) -> Self {
         let queue = Arc::new(RequestQueue::new(config.queue_capacity, config.admission));
-        let metrics = Arc::new(Mutex::new(SharedMetrics::new()));
+        let metrics = Arc::new(Mutex::new(SharedMetrics::default()));
         let mut reference = system.clone();
         reference.reset_stats();
         let mut template = system.clone();
@@ -367,7 +357,6 @@ impl EsamService {
                 let worker = template.clone();
                 let queue = Arc::clone(&queue);
                 let metrics = Arc::clone(&metrics);
-                let batcher = MicroBatcher::new(config.batch);
                 let track = config.trace.is_enabled().then(|| {
                     TrackTrace::with_epoch(
                         SERVE_TRACE_PID,
@@ -379,7 +368,7 @@ impl EsamService {
                 });
                 std::thread::Builder::new()
                     .name(format!("esam-serve-{index}"))
-                    .spawn(move || worker_loop(worker, config, &queue, &metrics, &batcher, track))
+                    .spawn(move || worker_loop(worker, config, &queue, &metrics, track))
                     .ok()
             })
             .collect();
@@ -528,7 +517,7 @@ impl EsamService {
             _ => Duration::ZERO,
         };
         let throughput_rps = if busy_time > Duration::ZERO {
-            metrics.completed as f64 / busy_time.as_secs_f64()
+            metrics.totals.completed as f64 / busy_time.as_secs_f64()
         } else {
             0.0
         };
@@ -555,14 +544,14 @@ impl EsamService {
             admission: self.config.admission,
             batch_policy: self.config.batch,
             admitted: counters.admitted,
-            completed: metrics.completed,
+            completed: metrics.totals.completed,
             rejected: counters.rejected,
             dropped: counters.dropped,
-            failed: metrics.failed,
+            failed: metrics.totals.failed,
             peak_queue_depth: counters.peak_depth,
-            batches: metrics.batches,
-            mean_batch_size: if metrics.batches > 0 {
-                metrics.batched_requests as f64 / metrics.batches as f64
+            batches: metrics.totals.batches,
+            mean_batch_size: if metrics.totals.batches > 0 {
+                metrics.totals.batched_requests as f64 / metrics.totals.batches as f64
             } else {
                 0.0
             },
@@ -575,11 +564,11 @@ impl EsamService {
             energy_per_request: modeled.as_ref().map(|m| m.energy_per_inf),
             modeled,
             modeling_error,
-            worker_restarts: metrics.worker_restarts,
-            retries: metrics.retries,
-            deadline_shed: metrics.deadline_shed,
-            worker_stalls: metrics.worker_stalls,
-            quarantines: metrics.quarantines,
+            worker_restarts: metrics.totals.worker_restarts,
+            retries: metrics.totals.retries,
+            deadline_shed: metrics.totals.deadline_shed,
+            worker_stalls: metrics.totals.worker_stalls,
+            quarantines: metrics.totals.quarantines,
             fault_tally: *self.reference.fault_tally(),
             integrity: self.reference.integrity_tally(),
             trace,
@@ -601,8 +590,9 @@ impl Drop for EsamService {
 
 /// Resolves one request's ticket from its inference outcome and flushes the
 /// latency sample; returns 1 on failure (for the batch's failure count).
-/// Shared by the sequential and the bit-sliced dispatch paths so both
-/// produce byte-identical [`Response`]s.
+/// The worker loop's one fulfilment site, whatever the unit ran on, so the
+/// block kernel and the per-request walk produce byte-identical
+/// [`Response`]s.
 ///
 /// When tracing is on, this is also where the request's timeline is
 /// recorded: a `queue-wait` span from the modeled arrival cycle to the
@@ -682,29 +672,34 @@ fn fulfil(
 /// closes and drains; return the worker's banked pipeline counters and
 /// cycle tally for the shutdown fold.
 ///
+/// Each batch runs as supervised units (see the module docs): a whole
+/// lane-wide batch on the block kernel, or one request at a time. Every
+/// unit takes the same steps — stall/panic injection, execution under one
+/// `catch_unwind`, banking, fulfilment — and a panic or a quarantine
+/// verdict ends it with a re-clone from the template.
+///
 /// Supervision model: `template` is the pristine (fault-plan-installed)
 /// pipeline the worker restarts from. Execution runs on a `working` clone;
-/// after every *successful* unit of work the working counters are banked
+/// after every *successful* unit the working counters are banked
 /// (`banked.absorb_stats` + `working.reset_stats`), so when an execution
 /// attempt panics — injected by the fault plan or genuine — discarding the
 /// half-updated `working` clone loses nothing that was already reported.
 /// That keeps the shutdown fold's `modeled` metrics exactly consistent
-/// with the completed traffic even across restarts. The unwound request
-/// itself is re-enqueued (front of the queue) while it has retry budget,
-/// else its ticket resolves with [`ServeError::RetriesExhausted`].
+/// with the completed traffic even across restarts. The unwound unit's
+/// requests are re-enqueued (front of the queue) while they have retry
+/// budget, else their tickets resolve with [`ServeError::RetriesExhausted`].
 fn worker_loop(
     template: EsamSystem,
     config: ServeConfig,
     queue: &RequestQueue,
     metrics: &Mutex<SharedMetrics>,
-    batcher: &MicroBatcher,
     mut track: Option<TrackTrace>,
 ) -> (EsamSystem, BatchTally, Option<TrackTrace>) {
     let faults = config.fault_plan();
-    let integrity = config.integrity_mode();
     // The quarantine rung only exists when self-checking produces the
     // uncorrectable counts it keys on.
-    let mut health = integrity
+    let mut health = config
+        .integrity_mode()
         .checks()
         .then(|| HealthMonitor::new(config.health_policy()));
     let mut banked = template.clone();
@@ -712,124 +707,78 @@ fn worker_loop(
     let mut working = template.clone();
     working.reset_stats();
     let mut tally = BatchTally::default();
-    let mut samples: Vec<BatchSamples> = Vec::with_capacity(batcher.policy().max_batch());
-    while let Some(batch) = batcher.next_batch(queue) {
+    let max_batch = config.batch_policy().max_batch();
+    let mut samples: Vec<BatchSamples> = Vec::with_capacity(max_batch);
+    let mut outcomes: Vec<Result<InferenceResult, ServeError>> = Vec::with_capacity(max_batch);
+    while let Some(mut batch) = queue.pop_batch(&config.batch_policy()) {
         let dispatch = Instant::now();
         samples.clear();
-        let mut faulted = BatchFaults::default();
+        let mut counts = WorkerCounters::default();
         // Deadline shed happens at dispatch: a request whose budget is
         // already spent would be served stale, so resolve it now (this is
         // also what bounds a retry loop under a deadline).
-        let batch: Vec<PendingRequest> = match config.deadline_budget() {
-            Some(budget) => batch
-                .into_iter()
-                .filter_map(|request| {
-                    if dispatch.saturating_duration_since(request.submitted) > budget {
-                        if let Some(track) = track.as_mut() {
-                            track.instant("deadline-shed", [Some(("request", request.id)), None]);
-                        }
-                        request.slot.complete(Err(ServeError::DeadlineExceeded));
-                        faulted.deadline_shed += 1;
-                        faulted.failed += 1;
-                        None
-                    } else {
-                        Some(request)
+        if let Some(budget) = config.deadline_budget() {
+            batch.retain(|request| {
+                let stale = dispatch.saturating_duration_since(request.submitted) > budget;
+                if stale {
+                    if let Some(track) = track.as_mut() {
+                        track.instant("deadline-shed", [Some(("request", request.id)), None]);
                     }
-                })
-                .collect(),
-            None => batch,
-        };
+                    request.slot.complete(Err(ServeError::DeadlineExceeded));
+                    counts.deadline_shed += 1;
+                    counts.failed += 1;
+                }
+                !stale
+            });
+        }
         let size = batch.len();
+        counts.batches = 1;
+        counts.batched_requests = size as u64;
         if let Some(track) = track.as_mut() {
             track.instant("batch-form", [Some(("size", size as u64)), None]);
         }
-        // The bit-sliced block kernel has no hook for per-frame transient
-        // faults and no per-request supervision boundary, so fault plans
-        // that can strike mid-batch force the per-request path — as does
-        // integrity checking, whose syndrome path rides the per-frame
-        // packed-row reads.
-        if size >= FrameBlock::LANES
-            && !faults.serve_active()
-            && !faults.transient_active()
-            && !integrity.checks()
-        {
-            // Lane-width batch: advance all frames through the bit-sliced
-            // block kernel (bit-identical to the per-request walk; the
-            // kernel falls back internally when ineligible). Widths were
-            // validated at submission, so a block error is a genuine
-            // worker fault — resolve every ticket with it and move on.
-            // The catch_unwind is a safety net for genuine panics only: the
-            // unwound requests resolve through their drop guard, and the
-            // worker restarts from the template (the partial batch's
-            // counters are discarded — with tickets mid-batch already
-            // resolved there is no exact accounting to preserve).
-            let frames: Vec<BitVec> = batch.iter().map(|r| r.frame.clone()).collect();
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut failed = 0u64;
-                match working.infer_block(&frames) {
-                    Ok(results) => {
-                        for (request, result) in batch.into_iter().zip(results) {
-                            failed += fulfil(
-                                request,
-                                Ok(result),
-                                dispatch,
-                                size,
-                                &mut tally,
-                                &mut samples,
-                                &mut TraceScope::over(track.as_mut()),
-                            );
-                        }
-                    }
-                    Err(error) => {
-                        let worker_error = ServeError::Worker(error.to_string());
-                        for request in batch {
-                            failed += fulfil(
-                                request,
-                                Err(worker_error.clone()),
-                                dispatch,
-                                size,
-                                &mut tally,
-                                &mut samples,
-                                &mut TraceScope::over(track.as_mut()),
-                            );
-                        }
-                    }
-                }
-                failed
-            }));
-            match run {
-                Ok(failed) => {
-                    faulted.failed += failed;
-                    banked.absorb_stats(&working);
-                    working.reset_stats();
-                }
-                Err(_) => {
-                    faulted.restarts += 1;
-                    if let Some(track) = track.as_mut() {
-                        track.abandon_open();
-                        track.instant("worker-restart", [None, None]);
-                    }
-                    working = template.clone();
-                    working.reset_stats();
-                }
-            }
-        } else {
-            for mut request in batch {
+        // Serve faults strike per request, so they need a supervision
+        // boundary per request; whether the block kernel reproduces the
+        // per-request walk is the pipeline's own call.
+        let block =
+            size >= FrameBlock::LANES && !faults.serve_active() && working.block_path_eligible();
+        let mut pending = VecDeque::from(batch);
+        while let Some(first) = pending.front() {
+            let unit_id = first.id;
+            let unit_len = if block { pending.len() } else { 1 };
+            for request in pending.range(..unit_len) {
                 if faults.worker_stall(request.id, u64::from(request.attempts)) {
-                    faulted.stalls += 1;
+                    counts.worker_stalls += 1;
                     if let Some(track) = track.as_mut() {
                         track.instant("worker-stall", [Some(("request", request.id)), None]);
                     }
                     std::thread::sleep(faults.config().worker_stall());
                 }
-                let injected_panic = faults.worker_panic(request.id, u64::from(request.attempts));
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    if injected_panic {
-                        panic!(
-                            "injected worker fault (request {}, attempt {})",
-                            request.id, request.attempts
-                        );
+            }
+            let injected_panic = pending
+                .range(..unit_len)
+                .find(|request| faults.worker_panic(request.id, u64::from(request.attempts)));
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(request) = injected_panic {
+                    panic!(
+                        "injected worker fault (request {}, attempt {})",
+                        request.id, request.attempts
+                    );
+                }
+                if block {
+                    // Widths were validated at submission, so a block
+                    // error is a genuine worker fault: every request of
+                    // the unit resolves with it.
+                    let frames: Vec<BitVec> =
+                        pending.range(..unit_len).map(|r| r.frame.clone()).collect();
+                    match working.infer_block(&frames) {
+                        Ok(results) => outcomes.extend(results.into_iter().map(Ok)),
+                        Err(error) => {
+                            let error = ServeError::Worker(error.to_string());
+                            outcomes.extend(frames.iter().map(|_| Err(error.clone())));
+                        }
                     }
+                } else {
                     // The transient-fault coordinate is the request id —
                     // assigned at submission, so the faulted result is
                     // independent of which worker serves it, of batch
@@ -839,21 +788,24 @@ fn worker_loop(
                     // oracle restores the flips after the frame; with
                     // checking on, the flips stay in and the SECDED
                     // ladder recovers them.
-                    working.infer_checked(&request.frame, request.id)
-                }));
-                match run {
-                    Ok(outcome) => {
-                        // Health reads the request's integrity delta off
-                        // the working clone *before* banking zeroes it.
-                        let verdict = health
-                            .as_mut()
-                            .map(|monitor| monitor.observe(&working.integrity_tally()));
-                        banked.absorb_stats(&working);
-                        working.reset_stats();
-                        let request_id = request.id;
-                        let outcome =
-                            outcome.map_err(|error| ServeError::Worker(error.to_string()));
-                        faulted.failed += fulfil(
+                    outcomes.push(
+                        working
+                            .infer_checked(&first.frame, first.id)
+                            .map_err(|error| ServeError::Worker(error.to_string())),
+                    );
+                }
+            }));
+            let restart = match run {
+                Ok(()) => {
+                    // Health reads the unit's integrity delta off the
+                    // working clone *before* banking zeroes it.
+                    let verdict = health
+                        .as_mut()
+                        .map(|monitor| monitor.observe(&working.integrity_tally()));
+                    banked.absorb_stats(&working);
+                    working.reset_stats();
+                    for (request, outcome) in pending.drain(..unit_len).zip(outcomes.drain(..)) {
+                        counts.failed += fulfil(
                             request,
                             outcome,
                             dispatch,
@@ -862,31 +814,33 @@ fn worker_loop(
                             &mut samples,
                             &mut TraceScope::over(track.as_mut()),
                         );
-                        if verdict == Some(HealthVerdict::Quarantine) {
-                            // The worker's arrays take too many
-                            // uncorrectable hits: drain it (its counters
-                            // are already banked, its ticket resolved)
-                            // and re-clone from the pristine template —
-                            // the same machinery that contains panics.
-                            faulted.quarantines += 1;
-                            if let Some(track) = track.as_mut() {
-                                track.instant("quarantine", [Some(("request", request_id)), None]);
-                            }
-                            working = template.clone();
-                            working.reset_stats();
+                    }
+                    // Quarantine: the worker's arrays take too many
+                    // uncorrectable hits, so drain it (its counters are
+                    // already banked, its tickets resolved) through the
+                    // same re-clone that contains panics.
+                    let quarantine = verdict == Some(HealthVerdict::Quarantine);
+                    if quarantine {
+                        counts.quarantines += 1;
+                        if let Some(track) = track.as_mut() {
+                            track.instant("quarantine", [Some(("request", unit_id)), None]);
                         }
                     }
-                    Err(_) => {
-                        faulted.restarts += 1;
-                        if let Some(track) = track.as_mut() {
-                            track.abandon_open();
-                            track.instant("worker-restart", [Some(("request", request.id)), None]);
-                        }
-                        working = template.clone();
-                        working.reset_stats();
+                    quarantine
+                }
+                Err(_) => {
+                    counts.worker_restarts += 1;
+                    outcomes.clear();
+                    if let Some(track) = track.as_mut() {
+                        track.abandon_open();
+                        track.instant("worker-restart", [Some(("request", unit_id)), None]);
+                    }
+                    // Back to front, so the unit keeps its order at the
+                    // head of the queue.
+                    for mut request in pending.drain(..unit_len).rev() {
                         request.attempts += 1;
                         if request.attempts <= config.retry_limit() {
-                            faulted.retries += 1;
+                            counts.retries += 1;
                             if let Some(track) = track.as_mut() {
                                 track.instant("retry", [Some(("request", request.id)), None]);
                             }
@@ -902,28 +856,27 @@ fn worker_loop(
                             request
                                 .slot
                                 .complete(Err(ServeError::RetriesExhausted { attempts }));
-                            faulted.failed += 1;
+                            counts.failed += 1;
                         }
                     }
+                    true
                 }
+            };
+            if restart {
+                // The one re-clone, shared by restart and quarantine.
+                working = template.clone();
+                working.reset_stats();
             }
         }
         let done = Instant::now();
+        counts.completed = samples.len() as u64;
         let mut shared = lock_recover(metrics);
         for sample in &samples {
             shared.wall_ns.record(sample.wall_ns);
             shared.wait_ns.record(sample.wait_ns);
             shared.cycles.record(sample.cycles);
         }
-        shared.completed += samples.len() as u64;
-        shared.failed += faulted.failed;
-        shared.batches += 1;
-        shared.batched_requests += size as u64;
-        shared.worker_restarts += faulted.restarts;
-        shared.retries += faulted.retries;
-        shared.deadline_shed += faulted.deadline_shed;
-        shared.worker_stalls += faulted.stalls;
-        shared.quarantines += faulted.quarantines;
+        shared.totals.merge(&counts);
         shared.last_done = Some(shared.last_done.map_or(done, |t| t.max(done)));
     }
     banked.absorb_stats(&working);

@@ -5,13 +5,14 @@
 //! events pile up.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use esam_bits::BitVec;
 use esam_core::{EsamSystem, SystemConfig};
 use esam_nn::{BnnNetwork, SnnModel};
 use esam_serve::{
-    EsamService, FaultConfig, FaultPlan, HealthPolicy, IntegrityMode, IntegrityTally, Response,
-    ServeConfig, ServeError, Ticket,
+    BatchPolicy, EsamService, FaultConfig, FaultPlan, HealthPolicy, IntegrityMode, IntegrityTally,
+    Response, ServeConfig, ServeError, Ticket,
 };
 use esam_sram::BitcellKind;
 
@@ -111,6 +112,56 @@ fn integrity_off_is_bit_identical_to_the_unprotected_service() {
     assert_eq!(report.integrity, IntegrityTally::default());
     assert_eq!(report.quarantines, 0);
     assert!(!report.to_string().contains("integrity:"));
+}
+
+#[test]
+fn a_lane_wide_batch_under_transient_faults_is_served_per_request() {
+    // One worker and a 128-request size trigger with a 5 s straggler
+    // budget: all 128 requests dispatch as one batch, wide enough for the
+    // block kernel. Transient flips strike per frame and integrity checks
+    // per read, which the block kernel cannot reproduce, so every request
+    // must still run through `infer_checked` under its own id — with the
+    // oracle restore (Off) and with the SECDED ladder (Correct) alike.
+    let plan = FaultPlan::seeded(23, FaultConfig::none().with_weight_flip_rate(2e-3));
+    let mut clean = small_system();
+    for mode in [IntegrityMode::Off, IntegrityMode::Correct] {
+        // Set up as `EsamService::start` sets up its template: the plan
+        // first, then the mode.
+        let mut reference = small_system();
+        reference.set_fault_plan(plan).unwrap();
+        reference.set_integrity_mode(mode);
+        reference.reset_stats();
+        let service = EsamService::start(
+            &small_system(),
+            ServeConfig::with_workers(1)
+                .batch(BatchPolicy::new(128, Duration::from_secs(5)))
+                .faults(plan)
+                .integrity(mode),
+        );
+        let outcomes = serve_all(&service, 128);
+        let mut moved_by_faults = 0;
+        for (id, outcome) in &outcomes {
+            let response = outcome.as_ref().expect("served");
+            let expected = reference.infer_checked(&frame(*id as usize), *id).unwrap();
+            assert_eq!(response.prediction, expected.prediction, "{mode:?} {id}");
+            assert_eq!(response.logits, expected.logits, "{mode:?} {id}");
+            assert_eq!(response.membranes, expected.membranes, "{mode:?} {id}");
+            assert_eq!(response.pipeline_cycles, expected.total_cycles());
+            assert_eq!(response.batch_size, 128, "{mode:?} {id}");
+            let unfaulted = clean.infer(&frame(*id as usize)).unwrap();
+            moved_by_faults += usize::from(response.membranes != unfaulted.membranes);
+        }
+        let report = service.shutdown();
+        assert_eq!(report.batches, 1, "{mode:?}: one size-triggered batch");
+        assert_eq!(report.completed, 128);
+        assert_eq!(report.fault_tally, *reference.fault_tally(), "{mode:?}");
+        assert_eq!(report.integrity, reference.integrity_tally(), "{mode:?}");
+        if mode == IntegrityMode::Off {
+            // The flips stay visible without checking, so a batch wrongly
+            // sent down the block kernel would fail the asserts above.
+            assert!(moved_by_faults > 0, "the plan must move some response");
+        }
+    }
 }
 
 #[test]

@@ -38,10 +38,11 @@ proptest! {
         let mut reference = system(seed, BitcellKind::multiport(4).unwrap());
         let sequential = reference.measure_batch(&batch).expect("sequential measure");
         for threads in [1usize, 2, 4, 7] {
-            let mut parallel = system(seed, BitcellKind::multiport(4).unwrap());
-            let metrics = parallel
-                .measure_batch_parallel(&batch, &BatchConfig::with_threads(threads))
-                .expect("parallel measure");
+            let mut engine = BatchEngine::new(
+                &system(seed, BitcellKind::multiport(4).unwrap()),
+                &BatchConfig::with_threads(threads),
+            );
+            let metrics = engine.measure(&batch).expect("parallel measure");
             prop_assert_eq!(metrics, sequential, "{} threads diverged", threads);
         }
     }
