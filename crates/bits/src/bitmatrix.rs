@@ -208,6 +208,26 @@ impl BitMatrix {
         }
     }
 
+    /// The transpose: a `cols × rows` matrix whose row `c` is column `c`
+    /// of this one, so [`row_words`](Self::row_words) of the transpose are
+    /// the packed words of a column. Built by walking the set bits of each
+    /// row word (`trailing_zeros`), not by a per-bit `get`.
+    pub fn transposed(&self) -> BitMatrix {
+        let mut t = BitMatrix::new(self.cols, self.rows);
+        for r in 0..self.rows {
+            let (rw, rb) = (r / WORD_BITS, r % WORD_BITS);
+            for (w, &word) in self.row_words(r).iter().enumerate() {
+                let mut remaining = word;
+                while remaining != 0 {
+                    let c = w * WORD_BITS + remaining.trailing_zeros() as usize;
+                    remaining &= remaining - 1;
+                    t.words[c * t.words_per_row + rw] |= 1u64 << rb;
+                }
+            }
+        }
+        t
+    }
+
     /// Total number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -337,6 +357,29 @@ mod tests {
         let m = BitMatrix::from_fn(16, 16, |r, c| (r + c) % 3 == 0);
         for i in 0..16 {
             assert_eq!(m.row(i).to_bools(), m.column(i).to_bools());
+        }
+    }
+
+    #[test]
+    fn transposed_ragged_shape_swaps_rows_and_columns() {
+        let m = BitMatrix::from_fn(130, 5, |r, c| (r * 7 + c * 3) % 4 == 0);
+        let t = m.transposed();
+        assert_eq!((t.rows(), t.cols()), (5, 130));
+        for c in 0..5 {
+            assert_eq!(t.row(c), m.column(c), "column {c}");
+            let words = t.row_words(c);
+            assert_eq!(words.len(), 3);
+            // Canonical tail: bits ≥ 130 % 64 of the last word are zero.
+            assert_eq!(words[2] >> 2, 0, "column {c}");
+        }
+        assert_eq!(t.count_ones(), m.count_ones());
+    }
+
+    #[test]
+    fn transposing_twice_is_the_identity() {
+        for (rows, cols) in [(1, 1), (64, 65), (130, 5), (128, 128)] {
+            let m = BitMatrix::from_fn(rows, cols, |r, c| (r * 31 + c * 17) % 3 == 0);
+            assert_eq!(m.transposed().transposed(), m, "{rows}x{cols}");
         }
     }
 

@@ -6,15 +6,28 @@
 //! tile — so the frame walk and the block walk each exist once. Both write
 //! into caller-owned buffers and return the last tile's fired output; the
 //! caller decides what to read out of it.
+//!
+//! [`walk_frame`] picks a path per tile from that tile's own state. A tile
+//! that is [`block_ready`](Tile::block_ready) with its integrity mode
+//! [`Off`](IntegrityMode::Off) runs the closed-form frame kernel
+//! ([`Tile::step_frame`]); any other tile — `OnFire` reset, a membrane
+//! register narrower than the fan-in, Detect/Correct checked reads — runs
+//! the cycle walk (inject, step until drained, compare and fire). Both give
+//! the same outputs, membranes, cycles and counters, so one cascade may mix
+//! them. Transient weight flips need no guard: they go through
+//! [`SramArray::flip_bit`](esam_sram::SramArray::flip_bit), which keeps
+//! the kernel's column view coherent.
 
 use esam_bits::{BitVec, FrameBlock};
+use esam_sram::IntegrityMode;
 
 use crate::error::CoreError;
 use crate::tile::Tile;
 
-/// Walks one spike frame through `tiles` in order — inject, step until
-/// drained, compare and fire, per tile — and returns the last tile's fired
-/// frame.
+/// Walks one spike frame through `tiles` in order and returns the last
+/// tile's fired frame. Each tile runs [`Tile::step_frame`] when that is
+/// exact (see the module docs) and the cycle walk — inject, step until
+/// drained, compare and fire — otherwise.
 ///
 /// Appends each tile's pipeline cycles (serve cycles plus the fire cycle)
 /// to `cycles`. `membranes`, when given, receives the last tile's
@@ -42,17 +55,27 @@ pub fn walk_frame(
         if let Some(inputs) = layer_inputs.as_deref_mut() {
             inputs.push(entering.clone());
         }
+        let readout = membranes.as_deref_mut().filter(|_| index + 1 == count);
+        if tile.block_ready() && tile.integrity_mode() == IntegrityMode::Off {
+            let mut fired = BitVec::new(tile.outputs());
+            let out = readout.map(|out| {
+                out.clear();
+                out.resize(tile.outputs(), 0);
+                out.as_mut_slice()
+            });
+            cycles.push(tile.step_frame(entering, &mut fired, out)?);
+            frame = Some(fired);
+            continue;
+        }
         tile.inject(entering)?;
         let mut served = 0u64;
         while !tile.is_drained() {
             tile.step()?;
             served += 1;
         }
-        if index + 1 == count {
-            if let Some(out) = membranes.as_deref_mut() {
-                out.clear();
-                out.extend_from_slice(tile.membranes());
-            }
+        if let Some(out) = readout {
+            out.clear();
+            out.extend_from_slice(tile.membranes());
         }
         frame = Some(tile.finish_timestep());
         cycles.push(served + 1);

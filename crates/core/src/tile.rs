@@ -15,6 +15,17 @@
 //! When the request register drains (`R_empty`), the neurons compare and
 //! fire, producing the parallel spike frame for the next tile (§3.1/§3.4).
 //!
+//! # Two ways through a frame
+//!
+//! [`Tile::step`] is that cycle walk, one arbitration per call. Under the
+//! every-timestep reset, with a membrane register wider than the fan-in,
+//! a whole timestep is instead a function of which rows spiked, and
+//! [`Tile::step_frame`] computes it in closed form from the SRAM arrays'
+//! column view: one AND + popcount per column word for the membranes,
+//! `⌈n_rg / p⌉` for the cycles, and every counter as a sum over the
+//! spiking rows. The cascade walk takes the kernel wherever it is exact
+//! and keeps the cycle walk as the fallback and as the test reference.
+//!
 //! # Weight sharing and cheap clones
 //!
 //! The loaded weight arrays — by far the largest part of a tile — live
@@ -44,6 +55,10 @@ use crate::error::CoreError;
 /// Leakage of the tile's logic (arbiters, neurons, registers) relative to
 /// its SRAM arrays.
 const TILE_LOGIC_LEAK_FRACTION: f64 = 0.15;
+
+/// Packed words per row group: a group's slice of a frame, and a block
+/// column, start on a word boundary and span at most this many words.
+const GROUP_WORDS: usize = ARRAY_DIM / BitVec::WORD_BITS;
 
 /// Activity counters of one tile, reconstructing spike-by-spike energy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -236,6 +251,9 @@ pub struct Tile {
     scratch: StepScratch,
     /// Reusable bit-sliced-path buffers (see [`BlockScratch`]).
     block_scratch: BlockScratch,
+    /// [`step_frame`](Self::step_frame)'s per-output count of spiking rows
+    /// holding a 1, sized once so the kernel never allocates.
+    frame_ones: Vec<u32>,
     /// How weight reads treat the SECDED codewords (default [`Off`]:
     /// bit-identical to the unprotected baseline).
     ///
@@ -307,6 +325,7 @@ impl Tile {
                 grants_per_cycle,
             ),
             block_scratch: BlockScratch::new(inputs, outputs, row_groups),
+            frame_ones: vec![0; outputs],
             integrity: IntegrityMode::Off,
             integrity_tally: IntegrityTally::default(),
             golden: None,
@@ -504,18 +523,24 @@ impl Tile {
     ///
     /// # Errors
     ///
-    /// Propagates the SRAM bounds errors when `input`/`output` exceed the
-    /// tile dimensions.
+    /// [`SramError::RowOutOfRange`](esam_sram::SramError::RowOutOfRange)
+    /// when `input` is not below the fan-in and
+    /// [`SramError::ColOutOfRange`](esam_sram::SramError::ColOutOfRange)
+    /// when `output` is not below the fan-out, both in tile coordinates.
     pub fn toggle_weight_bit(&mut self, input: usize, output: usize) -> Result<(), CoreError> {
-        let row_group = input / ARRAY_DIM;
-        let col_group = output / ARRAY_DIM;
-        if row_group >= self.row_groups || col_group >= self.col_groups {
+        if input >= self.inputs {
             return Err(CoreError::Sram(esam_sram::SramError::RowOutOfRange {
                 row: input,
                 rows: self.inputs,
             }));
         }
-        self.array_mut(row_group, col_group)
+        if output >= self.outputs {
+            return Err(CoreError::Sram(esam_sram::SramError::ColOutOfRange {
+                col: output,
+                cols: self.outputs,
+            }));
+        }
+        self.array_mut(input / ARRAY_DIM, output / ARRAY_DIM)
             .flip_bit(input % ARRAY_DIM, output % ARRAY_DIM)?;
         Ok(())
     }
@@ -537,7 +562,8 @@ impl Tile {
 
     /// The full weight column of output `neuron`, assembled across row
     /// groups (one bit per tile input) — the quantity online learning
-    /// reads, updates and merges.
+    /// reads, updates and merges. Each row group contributes a word copy
+    /// of its block's [`column_words`](SramArray::column_words).
     ///
     /// # Panics
     ///
@@ -551,11 +577,10 @@ impl Tile {
         let col_group = neuron / ARRAY_DIM;
         let local_col = neuron % ARRAY_DIM;
         let mut column = BitVec::new(self.inputs);
+        let words = column.words_mut();
         for rg in 0..self.row_groups {
-            let block = self.weights.arrays[rg * self.col_groups + col_group].bits();
-            // Per-block word-gathered column, spliced at the (word-aligned)
-            // row-group offset.
-            column.copy_bits_from(&block.column(local_col), rg * ARRAY_DIM);
+            let src = self.weights.arrays[rg * self.col_groups + col_group].column_words(local_col);
+            words[rg * GROUP_WORDS..rg * GROUP_WORDS + src.len()].copy_from_slice(src);
         }
         column
     }
@@ -581,7 +606,8 @@ impl Tile {
         &self.neurons
     }
 
-    /// Loads a converted layer's weights and thresholds.
+    /// Loads a converted layer's weights and thresholds: the whole-layer
+    /// case of [`load_layer_slice`](Self::load_layer_slice).
     ///
     /// # Errors
     ///
@@ -595,33 +621,7 @@ impl Tile {
                 got: vec![layer.inputs(), layer.outputs()],
             });
         }
-        let neuron_config = self.neurons.config();
-        for &threshold in layer.thresholds() {
-            if threshold > neuron_config.threshold_max()
-                || threshold < neuron_config.threshold_min()
-            {
-                return Err(CoreError::Nn(esam_nn::NnError::ThresholdOverflow {
-                    threshold,
-                    bits: neuron_config.threshold_bits(),
-                }));
-            }
-        }
-        let weights = Arc::make_mut(&mut self.weights);
-        for rg in 0..self.row_groups {
-            let rows = block_len(self.inputs, rg);
-            for cg in 0..self.col_groups {
-                let cols = block_len(self.outputs, cg);
-                let block = BitMatrix::from_fn(rows, cols, |r, c| {
-                    layer.bits().get(rg * ARRAY_DIM + r, cg * ARRAY_DIM + c)
-                });
-                weights.arrays[rg * self.col_groups + cg].load_weights(&block)?;
-            }
-        }
-        self.neurons.load_thresholds(layer.thresholds());
-        if self.integrity.checks() {
-            self.capture_golden();
-        }
-        Ok(())
+        self.load_layer_slice(layer, 0)
     }
 
     /// Loads a column slice of a converted layer: the tile becomes the
@@ -669,16 +669,24 @@ impl Tile {
                 }));
             }
         }
+        // Block edges are 128-aligned in both dimensions, so each block row
+        // is a word-aligned window of one layer row.
         let weights = Arc::make_mut(&mut self.weights);
+        let mut layer_row = BitVec::new(layer.outputs());
         for rg in 0..self.row_groups {
             let rows = block_len(self.inputs, rg);
             for cg in 0..self.col_groups {
                 let cols = block_len(self.outputs, cg);
-                let block = BitMatrix::from_fn(rows, cols, |r, c| {
+                let mut block = BitMatrix::new(rows, cols);
+                let mut block_row = BitVec::new(cols);
+                for r in 0..rows {
                     layer
                         .bits()
-                        .get(rg * ARRAY_DIM + r, col_start + cg * ARRAY_DIM + c)
-                });
+                        .copy_row_into(rg * ARRAY_DIM + r, &mut layer_row);
+                    block_row.clear();
+                    block_row.or_window_of(&layer_row, col_start + cg * ARRAY_DIM);
+                    block.set_row(r, &block_row);
+                }
                 weights.arrays[rg * self.col_groups + cg].load_weights(&block)?;
             }
         }
@@ -850,10 +858,11 @@ impl Tile {
         self.neurons.membranes()
     }
 
-    /// Processes one full input frame: inject, drain, fire — the
-    /// [`walk_frame`](crate::cascade::walk_frame) over this tile alone.
-    /// Returns the output spike frame and the number of clock cycles
-    /// consumed.
+    /// Processes one full input frame — the
+    /// [`walk_frame`](crate::cascade::walk_frame) over this tile alone, so
+    /// the closed-form kernel where it is exact and inject, drain, fire
+    /// otherwise. Returns the output spike frame and the number of clock
+    /// cycles consumed.
     ///
     /// # Errors
     ///
@@ -884,6 +893,136 @@ impl Tile {
             && self.is_drained()
             && !self.neurons.spike_requests().any()
             && self.membranes().iter().all(|&m| m == 0)
+    }
+
+    /// Processes one whole frame in closed form — the frame kernel
+    /// [`walk_frame`](crate::cascade::walk_frame) takes instead of
+    /// [`inject`](Self::inject) / [`step`](Self::step) /
+    /// [`finish_timestep`](Self::finish_timestep) wherever it is exact.
+    ///
+    /// Writes the fired frame into `fired` and, when `membranes_out` is
+    /// given, the pre-fire membrane potentials; returns the pipeline
+    /// cycles (serve cycles plus the fire cycle). With `n_rg` spikes in row
+    /// group `rg` and `n` in all:
+    ///
+    /// * membrane `j` is `2·ones_j − n`, where `ones_j` is `Σ_rg
+    ///   popcount(x_rg ∧ column_j)` over the column view
+    ///   ([`SramArray::column_words`]), and neuron `j` fires when it
+    ///   reaches its threshold;
+    /// * the cycles are `max_rg ⌈n_rg / p⌉ + 1`: each arbiter grants `p`
+    ///   rows per cycle and the groups drain in parallel;
+    /// * each array of row group `rg` adds `n_rg` inference reads and
+    ///   `n_rg·cols − Σ_c ones` zero bits (the zero bits of the spiking
+    ///   rows, so no row is read); the tile adds `n` spikes in and grants,
+    ///   `n·outputs` neuron bits, the cycles and one timestep.
+    ///
+    /// The neuron array is never touched: the cycle walk leaves it with
+    /// zero membranes and no pending requests, which is where it starts.
+    ///
+    /// # Bit-identity contract
+    ///
+    /// Outputs, membranes, cycles, [`TileStats`], [`AccessStats`] and the
+    /// post-state equal the cycle walk's whenever the tile is
+    /// [`block_ready`](Self::block_ready) (no mid-frame clamp, so the sums
+    /// are exact) and its integrity mode is
+    /// [`Off`](IntegrityMode::Off) (no per-read syndrome check to model).
+    /// Callers uphold both; property-tested in
+    /// `tests/frame_kernel_equivalence.rs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InputWidthMismatch`] when `input` does not
+    /// match the fan-in, and [`CoreError::BufferMismatch`] when `fired` or
+    /// `membranes_out` is not `outputs()` long. Shapes are checked before
+    /// any state changes, so a rejected call leaves the tile as it was.
+    pub fn step_frame(
+        &mut self,
+        input: &BitVec,
+        fired: &mut BitVec,
+        mut membranes_out: Option<&mut [i32]>,
+    ) -> Result<u64, CoreError> {
+        if input.len() != self.inputs {
+            return Err(CoreError::InputWidthMismatch {
+                expected: self.inputs,
+                got: input.len(),
+            });
+        }
+        let membranes = membranes_out.as_deref().map_or(self.outputs, <[i32]>::len);
+        let shapes = [
+            ("fired frame width", fired.len()),
+            ("membranes length", membranes),
+        ];
+        if let Some(&(buffer, got)) = shapes.iter().find(|(_, got)| *got != self.outputs) {
+            return Err(CoreError::BufferMismatch {
+                buffer,
+                expected: self.outputs,
+                got,
+            });
+        }
+        debug_assert!(self.is_drained(), "frame kernel needs a drained tile");
+        debug_assert!(
+            self.membranes().iter().all(|&m| m == 0),
+            "frame kernel needs zeroed membranes"
+        );
+
+        // Per row group: its spike count fixes its reads and serve cycles;
+        // per block column, the spiking rows holding a 1 are the column
+        // word ANDed with the group's frame window. Whatever they do not
+        // hold is a zero bit the rows would have returned.
+        let spikes = input.words();
+        let ports = self.grants_per_cycle as u64;
+        let (mut total, mut serve) = (0u64, 0u64);
+        let ones = &mut self.frame_ones;
+        ones.fill(0);
+        for rg in 0..self.row_groups {
+            let window = &spikes[rg * GROUP_WORDS..((rg + 1) * GROUP_WORDS).min(spikes.len())];
+            let count: u64 = window.iter().map(|w| u64::from(w.count_ones())).sum();
+            if count == 0 {
+                continue;
+            }
+            total += count;
+            serve = serve.max(count.div_ceil(ports));
+            for cg in 0..self.col_groups {
+                let index = rg * self.col_groups + cg;
+                let array = &self.weights.arrays[index];
+                let cols = array.config().cols();
+                let mut block_ones = 0u64;
+                for (col, slot) in ones[cg * ARRAY_DIM..cg * ARRAY_DIM + cols]
+                    .iter_mut()
+                    .enumerate()
+                {
+                    let hits = column_hits(array.column_words(col), window);
+                    *slot += hits;
+                    block_ones += u64::from(hits);
+                }
+                let stats = &mut self.array_stats[index];
+                stats.inference_reads += count;
+                stats.inference_zero_bits += count * cols as u64 - block_ones;
+            }
+        }
+
+        // Compare and fire: with zeroed start and no mid-frame clamp, each
+        // 1-weight spike adds 1 and each 0-weight spike subtracts 1.
+        let fired_words = fired.words_mut();
+        fired_words.fill(0);
+        for (output, (&column_ones, &threshold)) in
+            ones.iter().zip(self.neurons.thresholds()).enumerate()
+        {
+            let membrane = 2 * column_ones as i32 - total as i32;
+            if let Some(out) = membranes_out.as_deref_mut() {
+                out[output] = membrane;
+            }
+            fired_words[output / BitVec::WORD_BITS] |=
+                u64::from(membrane >= threshold) << (output % BitVec::WORD_BITS);
+        }
+
+        let cycles = serve + 1;
+        self.stats.spikes_in += total;
+        self.stats.grants += total;
+        self.stats.neuron_bits += total * self.outputs as u64;
+        self.stats.active_cycles += cycles;
+        self.stats.timesteps += 1;
+        Ok(cycles)
     }
 
     /// Processes one [`FrameBlock`] — up to 64 independent frames at once,
@@ -1111,6 +1250,21 @@ impl Tile {
     }
 }
 
+/// The spiking rows of one block column that hold a 1: `Σ popcount(column
+/// ∧ window)`, with the full two-word group spelled out so the hot loop
+/// unrolls.
+#[inline]
+fn column_hits(column: &[u64], window: &[u64]) -> u32 {
+    match (column, window) {
+        ([c0, c1], [x0, x1]) => (c0 & x0).count_ones() + (c1 & x1).count_ones(),
+        _ => column
+            .iter()
+            .zip(window)
+            .map(|(&c, &x)| (c & x).count_ones())
+            .sum(),
+    }
+}
+
 /// Width of block `index` when splitting `total` into 128-wide groups.
 fn block_len(total: usize, index: usize) -> usize {
     (total - index * ARRAY_DIM).min(ARRAY_DIM)
@@ -1300,6 +1454,36 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn weight_column_rejects_bad_neuron() {
         tile(128, 8, BitcellKind::Std6T).weight_column(8);
+    }
+
+    #[test]
+    fn toggle_weight_bit_reports_tile_coordinates() {
+        use esam_sram::SramError;
+        // 132 inputs leave a 4-row edge block; 10 outputs one column group.
+        let mut t = tile(132, 10, BitcellKind::multiport(2).unwrap());
+        assert!(matches!(
+            t.toggle_weight_bit(0, 200),
+            Err(CoreError::Sram(SramError::ColOutOfRange {
+                col: 200,
+                cols: 10
+            }))
+        ));
+        assert!(matches!(
+            t.toggle_weight_bit(200, 0),
+            Err(CoreError::Sram(SramError::RowOutOfRange {
+                row: 200,
+                rows: 132
+            }))
+        ));
+        assert!(matches!(
+            t.toggle_weight_bit(132, 10),
+            Err(CoreError::Sram(SramError::RowOutOfRange {
+                row: 132,
+                rows: 132
+            }))
+        ));
+        t.toggle_weight_bit(131, 9).unwrap();
+        assert!(t.weight_bit(131, 9), "the edge block's last cell flips");
     }
 
     #[test]

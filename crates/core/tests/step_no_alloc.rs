@@ -1,6 +1,7 @@
 //! Proof that the steady-state inference hot path performs **zero heap
 //! allocations**: a counting global allocator wraps the system allocator,
-//! and the drain loop of [`Tile::step`] must not advance the counter.
+//! and neither the drain loop of [`Tile::step`] nor the closed-form
+//! [`Tile::step_frame`] may advance the counter.
 //!
 //! The counter is thread-local so the measurement cannot be polluted by
 //! allocator traffic from other test threads; this file holds only
@@ -215,6 +216,43 @@ fn cloned_worker_tiles_block_step_is_allocation_free_too() {
         0,
         "a cloned tile's first block step must not touch the heap"
     );
+}
+
+#[test]
+fn steady_state_step_frame_is_allocation_free() {
+    // The closed-form frame kernel writes into caller-owned buffers and
+    // reads the column view in place: zero heap allocations, with and
+    // without the membrane readout.
+    for cell in [
+        BitcellKind::Std6T,
+        BitcellKind::multiport(2).unwrap(),
+        BitcellKind::multiport(4).unwrap(),
+    ] {
+        let config = SystemConfig::builder(cell, &[260, 130]).build().unwrap();
+        let mut tile = Tile::new(260, 130, &config).unwrap();
+        let frame = dense_frame(260);
+        let mut fired = BitVec::new(130);
+        let mut membranes = vec![0i32; 130];
+
+        // Warm-up: nothing in `step_frame` allocates lazily, but keep the
+        // measurement strictly steady-state as the contract states.
+        tile.step_frame(&frame, &mut fired, Some(&mut membranes))
+            .unwrap();
+
+        let before = allocations();
+        let cycles = tile
+            .step_frame(&frame, &mut fired, Some(&mut membranes))
+            .unwrap();
+        tile.step_frame(&frame, &mut fired, None).unwrap();
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{cell}: the frame kernel must not touch the heap"
+        );
+        let ports = cell.inference_parallelism() as u64;
+        assert_eq!(cycles, 64u64.div_ceil(ports) + 1, "{cell}: serve + fire");
+    }
 }
 
 #[test]

@@ -7,6 +7,18 @@
 //! [`SramArray::consumed_energy`] reconstructs the energy spike-by-spike, the
 //! same methodology the paper uses (§4.1: "simulate the network on a
 //! spike-by-spike basis … to determine the timing, power and energy").
+//!
+//! # Column view
+//!
+//! Beside the row-major store the array keeps a column-major copy of the
+//! same bits — the software form of the transposable port, which makes a
+//! weight column a native access (§3.2, §4.4.1).
+//! [`column_words`](SramArray::column_words) hands out a column as packed
+//! words; the transposed read and the closed-form frame kernel of
+//! `esam-core` consume it. Every mutator (bulk load, bit flip, scrub heal
+//! and reload, transposed and row-wise writes) updates both copies in the
+//! same call, and both stores are private, so the view is coherent by
+//! construction.
 
 use esam_bits::{BitMatrix, BitVec};
 
@@ -69,6 +81,9 @@ impl AccessStats {
 pub struct SramArray {
     config: ArrayConfig,
     bits: BitMatrix,
+    /// Column-major copy of `bits` (its transpose): row `c` holds column
+    /// `c`. Every method that writes `bits` writes this copy too.
+    columns: BitMatrix,
     stats: AccessStats,
     ecc: Option<EccState>,
 }
@@ -77,9 +92,11 @@ impl SramArray {
     /// Creates an array with all-zero content.
     pub fn new(config: ArrayConfig) -> Self {
         let bits = BitMatrix::new(config.rows(), config.cols());
+        let columns = BitMatrix::new(config.cols(), config.rows());
         Self {
             config,
             bits,
+            columns,
             stats: AccessStats::default(),
             ecc: None,
         }
@@ -93,6 +110,19 @@ impl SramArray {
     /// Immutable view of the stored bits.
     pub fn bits(&self) -> &BitMatrix {
         &self.bits
+    }
+
+    /// The packed words of column `col`: `rows().div_ceil(64)` words, row 0
+    /// at the LSB of the first word and the tail bits zero — a copy-free
+    /// look at the column view (see the module docs). Uncounted: a content
+    /// probe, not a port access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col >= cols()`.
+    #[inline]
+    pub fn column_words(&self, col: usize) -> &[u64] {
+        self.columns.row_words(col)
     }
 
     /// Access counters accumulated so far.
@@ -120,6 +150,7 @@ impl SramArray {
             });
         }
         self.bits = weights.clone();
+        self.columns = weights.transposed();
         if let Some(ecc) = &mut self.ecc {
             ecc.refresh_all(&self.bits);
         }
@@ -167,7 +198,7 @@ impl SramArray {
                 cols: self.config.cols(),
             });
         }
-        self.bits.flip(row, col);
+        self.flip(row, col);
         Ok(())
     }
 
@@ -346,37 +377,34 @@ impl SramArray {
         for row in 0..self.config.rows() {
             if mode == IntegrityMode::Detect {
                 if self.bits.row_words(row) != golden.row_words(row) {
-                    self.bits.set_row(row, &golden.row(row));
-                    if let Some(ecc) = &mut self.ecc {
-                        ecc.refresh_row(row, self.bits.row_words(row));
-                    }
+                    self.write_row(row, &golden.row(row));
                 }
                 continue;
             }
-            if let Some(ecc) = &mut self.ecc {
-                match ecc.check_row(row, self.bits.row_words(row)) {
-                    RowVerdict::Clean => {}
-                    RowVerdict::CorrectedData(col) => {
-                        self.bits.flip(row, col);
-                        tally.scrub_corrected += 1;
-                    }
-                    RowVerdict::CorrectedCheck => {
+            let verdict = self
+                .ecc
+                .as_ref()
+                .map(|ecc| ecc.check_row(row, self.bits.row_words(row)));
+            match verdict {
+                None | Some(RowVerdict::Clean) => {}
+                Some(RowVerdict::CorrectedData(col)) => {
+                    self.flip(row, col);
+                    tally.scrub_corrected += 1;
+                }
+                Some(RowVerdict::CorrectedCheck) => {
+                    if let Some(ecc) = &mut self.ecc {
                         ecc.refresh_row(row, self.bits.row_words(row));
-                        tally.scrub_corrected += 1;
                     }
-                    RowVerdict::DetectedUncorrectable => {
-                        self.bits.set_row(row, &golden.row(row));
-                        ecc.refresh_row(row, self.bits.row_words(row));
-                        tally.scrub_reloaded += 1;
-                    }
+                    tally.scrub_corrected += 1;
+                }
+                Some(RowVerdict::DetectedUncorrectable) => {
+                    self.write_row(row, &golden.row(row));
+                    tally.scrub_reloaded += 1;
                 }
             }
             if self.bits.row_words(row) != golden.row_words(row) {
                 tally.silent += 1;
-                self.bits.set_row(row, &golden.row(row));
-                if let Some(ecc) = &mut self.ecc {
-                    ecc.refresh_row(row, self.bits.row_words(row));
-                }
+                self.write_row(row, &golden.row(row));
                 tally.scrub_reloaded += 1;
             }
         }
@@ -401,7 +429,7 @@ impl SramArray {
             });
         }
         self.stats.rw_read_cycles += self.config.mux_ratio() as u64;
-        Ok(self.bits.column(col))
+        Ok(self.columns.row(col))
     }
 
     /// Writes a full weight column through the transposed port
@@ -426,6 +454,7 @@ impl SramArray {
             });
         }
         self.bits.set_column(col, bits);
+        self.columns.set_row(col, bits);
         if let Some(ecc) = &mut self.ecc {
             // A column write touches one bit of every row: re-encode all
             // sidecars (the learning path is not read-latency critical).
@@ -482,10 +511,7 @@ impl SramArray {
                 got: bits.len(),
             });
         }
-        self.bits.set_row(row, bits);
-        if let Some(ecc) = &mut self.ecc {
-            ecc.refresh_row(row, self.bits.row_words(row));
-        }
+        self.write_row(row, bits);
         self.stats.rw_write_cycles += 1;
         Ok(())
     }
@@ -528,6 +554,23 @@ impl SramArray {
             + energy.inference_read_per_zero() * stats.inference_zero_bits as f64
             + energy.rw_read_cycle() * stats.rw_read_cycles as f64
             + write)
+    }
+
+    /// Writes row `row` into both stores and re-encodes its codeword — the
+    /// row writer behind row-wise writes and scrub reloads.
+    fn write_row(&mut self, row: usize, bits: &BitVec) {
+        self.bits.set_row(row, bits);
+        self.columns.set_column(row, bits);
+        if let Some(ecc) = &mut self.ecc {
+            ecc.refresh_row(row, self.bits.row_words(row));
+        }
+    }
+
+    /// Inverts one bit in both stores and leaves the codeword alone — a
+    /// strike, or the scrub's in-place repair of a located data error.
+    fn flip(&mut self, row: usize, col: usize) {
+        self.bits.flip(row, col);
+        self.columns.flip(col, row);
     }
 
     fn require_transposable(&self) -> Result<(), SramError> {

@@ -2,7 +2,10 @@
 //! access, and physical-model monotonicities.
 
 use esam_bits::{BitMatrix, BitVec};
-use esam_sram::{ArrayConfig, BitcellKind, EnergyAnalysis, SramArray, TimingAnalysis};
+use esam_sram::{
+    ArrayConfig, BitcellKind, EnergyAnalysis, IntegrityMode, IntegrityTally, SramArray,
+    TimingAnalysis,
+};
 use esam_tech::units::Volts;
 use proptest::prelude::*;
 
@@ -14,8 +17,62 @@ fn weights(rows: usize, cols: usize) -> impl Strategy<Value = BitMatrix> {
     })
 }
 
+/// A pseudo-random bit vector of `len` bits drawn from `seed`.
+fn bits_from(len: usize, seed: u64) -> BitVec {
+    (0..len)
+        .map(|i| (seed.rotate_left((i * 7) as u32) ^ (i as u64 * 0x9e37)) & 1 == 1)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn column_view_tracks_every_mutator(
+        ports in 0u8..=4,
+        initial in weights(124, 100),
+        ops in proptest::collection::vec((0u8..5, 0usize..124, 0usize..100, any::<u64>()), 1..24),
+    ) {
+        // A ragged 124×100 block: both dimensions leave a partial last
+        // word. Multiport cells write columns through the transposed port,
+        // the 6T baseline rewrites rows through its RW port.
+        let cell = if ports == 0 {
+            BitcellKind::Std6T
+        } else {
+            BitcellKind::multiport(ports).unwrap()
+        };
+        let mut array = SramArray::new(ArrayConfig::builder(124, 100, cell).build().unwrap());
+        array.load_weights(&initial).unwrap();
+        array.enable_ecc();
+        let mut golden = initial;
+        let mut tally = IntegrityTally::default();
+        for (step, &(op, row, col, seed)) in ops.iter().enumerate() {
+            match op {
+                0 => {
+                    golden = BitMatrix::from_fn(124, 100, |r, c| (seed >> ((r * 5 + c * 3) % 64)) & 1 == 1);
+                    array.load_weights(&golden).unwrap();
+                }
+                1 => array.flip_bit(row, col).unwrap(),
+                2 if cell.is_transposable() => {
+                    array.transposed_write(col, &bits_from(124, seed)).unwrap();
+                }
+                2 => array.rowwise_write(row, &bits_from(100, seed)).unwrap(),
+                3 => array.scrub_audited(&golden, IntegrityMode::Detect, &mut tally).unwrap(),
+                _ => array.scrub_audited(&golden, IntegrityMode::Correct, &mut tally).unwrap(),
+            }
+            for c in 0..100 {
+                let gathered = array.bits().column(c);
+                prop_assert_eq!(
+                    array.column_words(c),
+                    gathered.words(),
+                    "step {} op {} column {}",
+                    step,
+                    op,
+                    c
+                );
+            }
+        }
+    }
 
     #[test]
     fn inference_reads_mirror_contents_on_every_port(
