@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use esam_bits::BitVec;
 use esam_core::{CoreError, EsamSystem, SystemConfig, TraceScope, TrackTrace};
-use esam_mesh::{Execution, MeshConfig, MeshSystem, PayloadMode, MESH_TRACE_PID};
+use esam_mesh::{Execution, MeshConfig, MeshSystem, MESH_TRACE_PID};
 use esam_nn::{BnnNetwork, SnnModel};
 use esam_obs::{
     json_escape, EventKind, Histogram, MetricsRegistry, TimeDomain, Trace, TraceConfig,
@@ -219,7 +219,6 @@ pub fn observe_results(samples: usize) -> Result<ObserveResults, BenchError> {
         SystemConfig::builder(BitcellKind::multiport(2).unwrap(), &mesh_topology).build()?;
     let mesh_config = MeshConfig::with_cores(3)
         .execution(Execution::Sequential)
-        .payload(PayloadMode::Frames)
         // Light in-flight corruption: the CRC verify + NACK/retransmit
         // series are live and the timeline carries `packet-corrupt`
         // instants, while results stay exact.

@@ -3,9 +3,9 @@
 //! Every execution mode walks tiles through these two functions — the
 //! single-core [`EsamSystem`](crate::EsamSystem) over its whole cascade,
 //! a mesh core over its shard of it, [`Tile::process_frame`] over one
-//! tile — so the frame walk and the block walk each exist once. Both write
-//! into caller-owned buffers and return the last tile's fired output; the
-//! caller decides what to read out of it.
+//! tile — so the frame walk and the block walk each exist once. Both fill
+//! caller-owned cycle and membrane buffers; the frame walk also fires into
+//! a caller-owned frame, the block walk returns its last tile's block.
 //!
 //! [`walk_frame`] picks a path per tile from that tile's own state. A tile
 //! that is [`block_ready`](Tile::block_ready) with its integrity mode
@@ -24,10 +24,15 @@ use esam_sram::IntegrityMode;
 use crate::error::CoreError;
 use crate::tile::Tile;
 
-/// Walks one spike frame through `tiles` in order and returns the last
-/// tile's fired frame. Each tile runs [`Tile::step_frame`] when that is
-/// exact (see the module docs) and the cycle walk — inject, step until
-/// drained, compare and fire — otherwise.
+/// Walks one spike frame through `tiles` in order and writes the last
+/// tile's fired frame into `out`. Each tile runs [`Tile::step_frame`] when
+/// that is exact (see the module docs) and the cycle walk — inject, step
+/// until drained, compare and fire — otherwise.
+///
+/// Every tile but the last fires into its own last-fired buffer, sized when
+/// the tile was built, and the next tile reads it there: between tiles the
+/// walk allocates nothing (the cycle walk's compare-and-fire still returns
+/// a fresh frame).
 ///
 /// Appends each tile's pipeline cycles (serve cycles plus the fire cycle)
 /// to `cycles`. `membranes`, when given, receives the last tile's
@@ -36,51 +41,77 @@ use crate::tile::Tile;
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InputWidthMismatch`] when `input` does not match
-/// the first tile's fan-in, [`CoreError::InvalidConfig`] for an empty run,
-/// and propagates step errors.
+/// Returns [`CoreError::InvalidConfig`] for an empty run and
+/// [`CoreError::BufferMismatch`] when `out` is not the last tile's
+/// `outputs()` wide, both before any state changes;
+/// [`CoreError::InputWidthMismatch`] when `input` does not match the first
+/// tile's fan-in; and propagates step errors.
 pub fn walk_frame(
     tiles: &mut [Tile],
     input: &BitVec,
+    out: &mut BitVec,
     cycles: &mut Vec<u64>,
-    mut membranes: Option<&mut Vec<i32>>,
+    membranes: Option<&mut Vec<i32>>,
     mut layer_inputs: Option<&mut Vec<BitVec>>,
-) -> Result<BitVec, CoreError> {
-    let count = tiles.len();
-    // The working frame: `None` until the first tile fires (the input is
-    // borrowed, never cloned, unless `layer_inputs` asks for it).
-    let mut frame: Option<BitVec> = None;
-    for (index, tile) in tiles.iter_mut().enumerate() {
-        let entering = frame.as_ref().unwrap_or(input);
-        if let Some(inputs) = layer_inputs.as_deref_mut() {
-            inputs.push(entering.clone());
-        }
-        let readout = membranes.as_deref_mut().filter(|_| index + 1 == count);
-        if tile.block_ready() && tile.integrity_mode() == IntegrityMode::Off {
-            let mut fired = BitVec::new(tile.outputs());
-            let out = readout.map(|out| {
-                out.clear();
-                out.resize(tile.outputs(), 0);
-                out.as_mut_slice()
-            });
-            cycles.push(tile.step_frame(entering, &mut fired, out)?);
-            frame = Some(fired);
-            continue;
-        }
-        tile.inject(entering)?;
-        let mut served = 0u64;
-        while !tile.is_drained() {
-            tile.step()?;
-            served += 1;
-        }
-        if let Some(out) = readout {
-            out.clear();
-            out.extend_from_slice(tile.membranes());
-        }
-        frame = Some(tile.finish_timestep());
-        cycles.push(served + 1);
+) -> Result<(), CoreError> {
+    let (last, hidden) = tiles.split_last_mut().ok_or_else(empty_run)?;
+    if out.len() != last.outputs() {
+        return Err(CoreError::BufferMismatch {
+            buffer: "output frame width",
+            expected: last.outputs(),
+            got: out.len(),
+        });
     }
-    frame.ok_or_else(empty_run)
+    for index in 0..hidden.len() {
+        let (upstream, rest) = hidden.split_at_mut(index);
+        let entering = upstream.last().map_or(input, Tile::fired);
+        let tile = &mut rest[0];
+        // The buffer leaves the tile for the step and goes back even when
+        // the step fails.
+        let mut fired = std::mem::take(tile.fired_mut());
+        let inputs = layer_inputs.as_deref_mut();
+        let served = step_tile(tile, entering, &mut fired, None, inputs);
+        *tile.fired_mut() = fired;
+        cycles.push(served?);
+    }
+    let entering = hidden.last().map_or(input, Tile::fired);
+    cycles.push(step_tile(last, entering, out, membranes, layer_inputs)?);
+    Ok(())
+}
+
+/// One tile's timestep of [`walk_frame`]: fires `input` into `fired`
+/// through the frame kernel where it is exact and the cycle walk
+/// otherwise, and returns the tile's pipeline cycles.
+fn step_tile(
+    tile: &mut Tile,
+    input: &BitVec,
+    fired: &mut BitVec,
+    membranes: Option<&mut Vec<i32>>,
+    layer_inputs: Option<&mut Vec<BitVec>>,
+) -> Result<u64, CoreError> {
+    if let Some(inputs) = layer_inputs {
+        inputs.push(input.clone());
+    }
+    if tile.block_ready() && tile.integrity_mode() == IntegrityMode::Off {
+        let readout = membranes.map(|out| {
+            out.clear();
+            out.resize(tile.outputs(), 0);
+            out.as_mut_slice()
+        });
+        return tile.step_frame(input, fired, readout);
+    }
+    tile.inject(input)?;
+    let mut served = 0u64;
+    while !tile.is_drained() {
+        tile.step()?;
+        served += 1;
+    }
+    if let Some(out) = membranes {
+        out.clear();
+        out.extend_from_slice(tile.membranes());
+    }
+    *fired = tile.finish_timestep();
+    Ok(served + 1)
 }
 
 /// Walks one [`FrameBlock`] through `tiles` in order with

@@ -277,11 +277,16 @@ impl EsamSystem {
         input: &BitVec,
         layer_inputs: Option<&mut Vec<BitVec>>,
     ) -> Result<InferenceResult, CoreError> {
+        // Under the frame kernel the result's four buffers (spikes,
+        // cycles, membranes, logits) are all a frame allocates.
+        let classes = self.tiles.last().map_or(0, Tile::outputs);
+        let mut output_spikes = BitVec::new(classes);
         let mut per_tile_cycles = Vec::with_capacity(self.tiles.len());
-        let mut membranes = Vec::new();
-        let output_spikes = walk_frame(
+        let mut membranes = Vec::with_capacity(classes);
+        walk_frame(
             &mut self.tiles,
             input,
+            &mut output_spikes,
             &mut per_tile_cycles,
             Some(&mut membranes),
             layer_inputs,

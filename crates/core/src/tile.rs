@@ -254,6 +254,11 @@ pub struct Tile {
     /// [`step_frame`](Self::step_frame)'s per-output count of spiking rows
     /// holding a 1, sized once so the kernel never allocates.
     frame_ones: Vec<u32>,
+    /// The frame this tile fired last in a
+    /// [`walk_frame`](crate::cascade::walk_frame), which the next tile of
+    /// the cascade reads: sized once, so the walk allocates nothing
+    /// between tiles.
+    fired: BitVec,
     /// How weight reads treat the SECDED codewords (default [`Off`]:
     /// bit-identical to the unprotected baseline).
     ///
@@ -326,6 +331,7 @@ impl Tile {
             ),
             block_scratch: BlockScratch::new(inputs, outputs, row_groups),
             frame_ones: vec![0; outputs],
+            fired: BitVec::new(outputs),
             integrity: IntegrityMode::Off,
             integrity_tally: IntegrityTally::default(),
             golden: None,
@@ -851,6 +857,17 @@ impl Tile {
         fired
     }
 
+    /// The frame this tile fired last in a cascade walk (see the `fired`
+    /// field).
+    pub(crate) fn fired(&self) -> &BitVec {
+        &self.fired
+    }
+
+    /// The last-fired buffer, mutably — what the cascade walk fires into.
+    pub(crate) fn fired_mut(&mut self) -> &mut BitVec {
+        &mut self.fired
+    }
+
     /// Membrane potentials (output-layer readout, taken before
     /// [`finish_timestep`](Self::finish_timestep)). Borrowed, not copied —
     /// the readout allocates nothing.
@@ -868,9 +885,16 @@ impl Tile {
     ///
     /// Propagates injection/step errors.
     pub fn process_frame(&mut self, frame: &BitVec) -> Result<(BitVec, u64), CoreError> {
+        let mut fired = BitVec::new(self.outputs);
         let mut cycles = Vec::with_capacity(1);
-        let fired =
-            crate::cascade::walk_frame(std::slice::from_mut(self), frame, &mut cycles, None, None)?;
+        crate::cascade::walk_frame(
+            std::slice::from_mut(self),
+            frame,
+            &mut fired,
+            &mut cycles,
+            None,
+            None,
+        )?;
         Ok((fired, cycles[0]))
     }
 

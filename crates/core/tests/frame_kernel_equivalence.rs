@@ -14,7 +14,8 @@
 //! both closed forms to the cycle walk.
 
 use esam_bits::BitVec;
-use esam_core::{EsamSystem, IntegrityMode, OnlineLearningEngine, SystemConfig, Tile};
+use esam_core::cascade::walk_frame;
+use esam_core::{CoreError, EsamSystem, IntegrityMode, OnlineLearningEngine, SystemConfig, Tile};
 use esam_fault::{FaultConfig, FaultPlan};
 use esam_neuron::{NeuronConfig, ResetPolicy};
 use esam_nn::{BnnNetwork, SnnModel, StdpRule, TeacherSignal};
@@ -272,6 +273,44 @@ fn mixed_cascades_match_the_manual_walk() {
     );
     assert!(template.tiles().iter().all(Tile::block_ready));
     assert_infer_matches_manual_walk(&template, &frames(260, 6, 31, 0.2), "all-kernel");
+}
+
+#[test]
+fn a_misshaped_output_frame_leaves_the_cascade_untouched() {
+    let neuron = neuron_config(12, ResetPolicy::EveryTimestep);
+    let template = system_with(
+        &[260, 132, 10],
+        BitcellKind::multiport(2).unwrap(),
+        neuron,
+        5,
+    );
+    let frame = frames(260, 1, 4, 0.3).pop().unwrap();
+    let mut tiles = template.tiles().to_vec();
+    let mut cycles = Vec::new();
+    let mut wide = BitVec::new(132);
+    let rejected = walk_frame(&mut tiles, &frame, &mut wide, &mut cycles, None, None);
+    assert!(
+        matches!(
+            rejected,
+            Err(CoreError::BufferMismatch {
+                buffer: "output frame width",
+                expected: 10,
+                got: 132,
+            })
+        ),
+        "{rejected:?}"
+    );
+    assert!(cycles.is_empty(), "no tile ran");
+    for (t, (got, want)) in tiles.iter().zip(template.tiles()).enumerate() {
+        assert_same_state(got, want, &format!("tile {t} after the rejected walk"));
+    }
+    let mut out = BitVec::new(10);
+    walk_frame(&mut tiles, &frame, &mut out, &mut cycles, None, None).unwrap();
+    let result = template.clone().infer(&frame).unwrap();
+    assert_eq!(
+        (out, cycles),
+        (result.output_spikes, result.per_tile_cycles)
+    );
 }
 
 #[test]

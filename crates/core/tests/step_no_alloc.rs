@@ -1,7 +1,8 @@
 //! Proof that the steady-state inference hot path performs **zero heap
 //! allocations**: a counting global allocator wraps the system allocator,
-//! and neither the drain loop of [`Tile::step`] nor the closed-form
-//! [`Tile::step_frame`] may advance the counter.
+//! and neither the drain loop of [`Tile::step`], the closed-form
+//! [`Tile::step_frame`] nor a [`walk_frame`] over an eligible cascade may
+//! advance the counter; [`EsamSystem::infer`] allocates its result alone.
 //!
 //! The counter is thread-local so the measurement cannot be polluted by
 //! allocator traffic from other test threads; this file holds only
@@ -11,7 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use esam_bits::{BitVec, FrameBlock};
-use esam_core::{SystemConfig, Tile};
+use esam_core::cascade::walk_frame;
+use esam_core::{EsamSystem, SystemConfig, Tile};
+use esam_nn::{BnnNetwork, SnnModel};
 use esam_sram::BitcellKind;
 
 thread_local! {
@@ -252,6 +255,101 @@ fn steady_state_step_frame_is_allocation_free() {
         );
         let ports = cell.inference_parallelism() as u64;
         assert_eq!(cycles, 64u64.div_ceil(ports) + 1, "{cell}: serve + fire");
+    }
+}
+
+/// The cells the walk tests run on: the 6T baseline, 2R and 4R.
+fn walk_cells() -> [BitcellKind; 3] {
+    [
+        BitcellKind::Std6T,
+        BitcellKind::multiport(2).unwrap(),
+        BitcellKind::multiport(4).unwrap(),
+    ]
+}
+
+/// A seeded `[260, 132, 10]` system: ragged row and column groups, every
+/// tile eligible for the frame kernel.
+fn kernel_system(cell: BitcellKind) -> EsamSystem {
+    let topology = [260, 132, 10];
+    let model = SnnModel::from_bnn(&BnnNetwork::new(&topology, 5).unwrap()).unwrap();
+    let config = SystemConfig::builder(cell, &topology).build().unwrap();
+    let system = EsamSystem::from_model(&model, &config).unwrap();
+    assert!(system.tiles().iter().all(Tile::block_ready));
+    system
+}
+
+#[test]
+fn steady_state_walk_frame_is_allocation_free() {
+    // Every tile but the last fires into its own buffer and the next tile
+    // reads it there; the caller owns the output frame, cycles and
+    // membranes. A steady-state walk over an eligible cascade then touches
+    // the heap nowhere.
+    for cell in walk_cells() {
+        let mut system = kernel_system(cell);
+        let mut tiles = system.tiles().to_vec();
+        let frame = dense_frame(260);
+        let mut out = BitVec::new(10);
+        let mut cycles = Vec::with_capacity(tiles.len());
+        let mut membranes = Vec::with_capacity(10);
+
+        // Warm-up: nothing in the walk allocates lazily, but keep the
+        // measurement strictly steady-state as the contract states.
+        walk_frame(
+            &mut tiles,
+            &frame,
+            &mut out,
+            &mut cycles,
+            Some(&mut membranes),
+            None,
+        )
+        .unwrap();
+
+        let before = allocations();
+        cycles.clear();
+        walk_frame(
+            &mut tiles,
+            &frame,
+            &mut out,
+            &mut cycles,
+            Some(&mut membranes),
+            None,
+        )
+        .unwrap();
+        cycles.clear();
+        walk_frame(&mut tiles, &frame, &mut out, &mut cycles, None, None).unwrap();
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{cell}: the walk must not touch the heap"
+        );
+        let result = system.infer(&frame).unwrap();
+        assert_eq!(
+            (out, cycles, membranes),
+            (
+                result.output_spikes,
+                result.per_tile_cycles,
+                result.membranes
+            ),
+            "{cell}: the walk is infer's"
+        );
+    }
+}
+
+#[test]
+fn steady_state_infer_allocates_only_its_result() {
+    // `infer` hands back an owned result — output spikes, per-tile cycles,
+    // membranes and logits — and allocates nothing else.
+    for cell in walk_cells() {
+        let mut system = kernel_system(cell);
+        let frame = dense_frame(260);
+        system.infer(&frame).unwrap();
+
+        let before = allocations();
+        let result = system.infer(&frame).unwrap();
+        let after = allocations();
+        assert_eq!(after - before, 4, "{cell}: four result buffers");
+        drop(result);
     }
 }
 

@@ -1,5 +1,5 @@
 //! Mesh configuration: core count, interconnect cost model, channel
-//! sizing, payload mode, fault plan.
+//! sizing, execution mode, fault plan.
 
 use std::time::Duration;
 
@@ -48,23 +48,6 @@ impl Default for LinkConfig {
     }
 }
 
-/// Which payload format streams between cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PayloadMode {
-    /// Decide per run: [`Blocks`](Self::Blocks) when the bit-sliced path
-    /// is eligible on every core and the batch has more than one frame,
-    /// [`Frames`](Self::Frames) otherwise.
-    #[default]
-    Auto,
-    /// One [`BitVec`](esam_bits::BitVec) spike frame per packet.
-    Frames,
-    /// Batch-major [`FrameBlock`](esam_bits::FrameBlock) packets — up to
-    /// 64 frames advance per hand-off with no re-transpose (the PR 6 path
-    /// streamed through the mesh). Falls back to frames when the block
-    /// path's eligibility guard rules it out, so the call stays exact.
-    Blocks,
-}
-
 /// Whether cores run on real threads or as an in-place sequential walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Execution {
@@ -86,21 +69,19 @@ pub struct MeshConfig {
     cores: usize,
     link: LinkConfig,
     channel_capacity: usize,
-    payload: PayloadMode,
     execution: Execution,
     faults: FaultPlan,
     link_timeout: Option<Duration>,
 }
 
 impl MeshConfig {
-    /// A mesh of `cores` cores with default interconnect, channel depth
-    /// and payload selection; no faults, no link timeout.
+    /// A mesh of `cores` cores with default interconnect and channel
+    /// depth, pipelined; no faults, no link timeout.
     pub fn with_cores(cores: usize) -> Self {
         Self {
             cores,
             link: LinkConfig::paper_default(),
             channel_capacity: 4,
-            payload: PayloadMode::Auto,
             execution: Execution::Pipelined,
             faults: FaultPlan::none(),
             link_timeout: None,
@@ -122,13 +103,6 @@ impl MeshConfig {
         self
     }
 
-    /// Overrides the payload mode.
-    #[must_use]
-    pub fn payload(mut self, payload: PayloadMode) -> Self {
-        self.payload = payload;
-        self
-    }
-
     /// Overrides the execution mode.
     #[must_use]
     pub fn execution(mut self, execution: Execution) -> Self {
@@ -137,10 +111,11 @@ impl MeshConfig {
     }
 
     /// Installs a deterministic fault plan. Only the plan's mesh-domain
-    /// rates (packet drop/delay, core stall/panic) act here; while any of
-    /// them is nonzero the mesh streams frame packets (the block payload
-    /// has no per-frame hand-off to fault) and recovers lost frames on a
-    /// fault-exempt sequential pass, so results stay exact.
+    /// rates (packet drop/delay/corruption, core stall/panic) act here;
+    /// while any of them is nonzero every hand-off carries one frame (the
+    /// faults are keyed per hand-off, so each frame keeps its own fault
+    /// sites) and lost frames are recovered on a fault-exempt sequential
+    /// pass, so results stay exact.
     #[must_use]
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
@@ -172,11 +147,6 @@ impl MeshConfig {
     /// Per-link channel depth.
     pub fn channel_depth(&self) -> usize {
         self.channel_capacity
-    }
-
-    /// The payload mode.
-    pub fn payload_mode(&self) -> PayloadMode {
-        self.payload
     }
 
     /// The execution mode.

@@ -10,11 +10,12 @@
 //! cores overlapping different frames, never from overlap inside a core.
 //!
 //! A core has no walk of its own: the mesh handler runs
-//! [`walk_frame`](esam_core::cascade::walk_frame) or
-//! [`walk_block`](esam_core::cascade::walk_block) over the core's tiles —
-//! the very functions `EsamSystem::infer` and `EsamSystem::infer_block`
-//! run over the whole cascade — so a shard reproduces the single-core
-//! reference exactly: same calls, same order, same counters.
+//! [`walk_frame`](esam_core::cascade::walk_frame) over the core's tiles
+//! for each frame of a hand-off — the very function `EsamSystem::infer`
+//! runs over the whole cascade — so a shard reproduces the single-core
+//! reference exactly: same calls, same order, same counters. Eligible
+//! tiles take the closed-form frame kernel there, the others the cycle
+//! walk.
 
 use esam_core::{CoreError, SystemConfig, Tile};
 use esam_nn::SnnModel;

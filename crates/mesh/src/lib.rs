@@ -17,11 +17,11 @@
 //! [`Execution::Pipelined`] mode and the retained [`Execution::Sequential`]
 //! walk run the same per-core handlers (identical results and counters by
 //! construction), and both reproduce the plain single-core system's
-//! outputs exactly — including the batch-major
-//! [`FrameBlock`](esam_bits::FrameBlock) payload, which streams
-//! 64-frame packets between cores
-//! with no re-transpose. See `tests/mesh_equivalence.rs` for the pinned
-//! contract and `crate::system` for the accounting model.
+//! outputs exactly. Cores hand each other up to 64 consecutive frames per
+//! packet and walk each frame with the single-core cascade walk, so
+//! eligible tiles run the closed-form frame kernel. See
+//! `tests/mesh_equivalence.rs` for the pinned contract and `crate::system`
+//! for the hand-off format and the accounting model.
 //!
 //! The mesh is also *fault-tolerant*: a deterministic
 //! [`FaultPlan`] installed via
@@ -69,7 +69,7 @@ pub mod plan;
 pub mod spsc;
 pub mod system;
 
-pub use config::{Execution, LinkConfig, MeshConfig, PayloadMode};
+pub use config::{Execution, LinkConfig, MeshConfig};
 pub use core::MeshCore;
 pub use crc::crc32_words;
 pub use esam_fault::{FaultConfig, FaultPlan, FaultTally};

@@ -20,7 +20,7 @@ pub struct LinkStats {
     /// Chain distance charged per packet (`hop_latency × distance` routing
     /// cycles).
     pub distance: u64,
-    /// Spike frames delivered (each block packet counts its lane count).
+    /// Spike frames delivered (a hand-off of `n` frames counts `n`).
     pub frames: u64,
     /// Spike events serialized over the link.
     pub events: u64,

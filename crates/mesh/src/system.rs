@@ -11,10 +11,30 @@
 //! delivers network input to stage 0 and a sink edge collects the readout
 //! stage — neither models interconnect cost.
 //!
+//! # Hand-offs
+//!
+//! One packet format crosses every edge: up to 64 consecutive frames in
+//! frame-major order — the producer's output slices as a [`BitMatrix`]
+//! with one row per frame, each frame's cycle chain, the readout
+//! membranes, and one set of accumulators per frame. A core serves a
+//! hand-off frame by frame, in order, with the one per-frame body: drop
+//! verdicts, link charges, CRC/NACK, delay, input assembly, the core's
+//! [`walk_frame`] into buffers the core owns, stall, timeline. Every frame
+//! is charged and walked exactly as it would be alone, so the hand-off
+//! size changes no result, tally or counter; a larger hand-off only
+//! spreads the per-hand-off costs (channel operations, wake-ups, packet
+//! buffers) over more frames.
+//!
+//! While a mesh fault is armed ([`FaultPlan::mesh_active`]), every
+//! hand-off carries a single frame: faults are keyed per hand-off, so each
+//! frame keeps its own fault sites, lost markers and retransmissions.
+//! [`MeshSystem::run`] and [`MeshSystem::run_traced`] follow the same
+//! rule.
+//!
 //! # Cycle accounting
 //!
-//! Packets carry two accumulators in the same cycle domain as
-//! [`PipelineTiming`]:
+//! Each frame of a packet carries two accumulators in the same cycle
+//! domain as [`PipelineTiming`]:
 //!
 //! * `noc_latency` — interconnect cycles on the critical path so far: at
 //!   each consumer, `max` over in-edges of (packet's `noc_latency` + that
@@ -34,9 +54,9 @@
 //! [`Execution::Pipelined`] and [`Execution::Sequential`] run the *same*
 //! per-core handler over the same packets — only the scheduling differs —
 //! so they are bit-identical in results, tallies and every counter. The
-//! handler walks its core's tiles with [`walk_frame`] / [`walk_block`],
-//! the walks the plain single-core [`EsamSystem`](esam_core::EsamSystem)
-//! runs over its whole cascade, so against it outputs (predictions,
+//! handler walks its core's tiles with [`walk_frame`], the walk the plain
+//! single-core [`EsamSystem`](esam_core::EsamSystem) runs over its whole
+//! cascade, so against it outputs (predictions,
 //! logits, membranes, output spikes, per-tile cycles) are always
 //! identical; tile counters additionally match
 //! tile-for-tile whenever the plan is layer-granular (column-split shards
@@ -63,9 +83,9 @@
 //! # Tracing
 //!
 //! [`MeshSystem::run_traced`] attaches a timeline sink to every core and
-//! runs the ordinary sequential frame walk. The handler draws each link,
-//! CRC-retry, delay and stall charge into the sink as it makes it, and a
-//! frame packet carries its producer's finish cycle to the consumer: the
+//! runs the ordinary sequential walk. The handler draws each link,
+//! CRC-retry, delay and stall charge into the sink as it makes it, and
+//! each frame carries its producer's finish cycle to the consumer: the
 //! link delivers at that cycle plus everything the edge charged, and the
 //! core starts at `max(own busy-until, latest delivery)` — a gap is
 //! pipeline dead time, drawn as a `bubble`. The feeder saturates stage 0.
@@ -75,15 +95,15 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
-use esam_bits::{BitVec, FrameBlock};
-use esam_core::cascade::{walk_block, walk_frame};
+use esam_bits::{BitMatrix, BitVec};
+use esam_core::cascade::walk_frame;
 use esam_core::{CoreError, InferenceResult, PipelineTiming, SystemConfig, SystemMetrics, Tile};
 use esam_fault::FaultPlan;
 use esam_nn::SnnModel;
 use esam_obs::{Trace, TrackTrace, NO_ARGS};
 use esam_tech::units::{AreaUm2, Joules, Watts};
 
-use crate::config::{Execution, LinkConfig, MeshConfig, PayloadMode};
+use crate::config::{Execution, LinkConfig, MeshConfig};
 use crate::core::MeshCore;
 use crate::crc::crc32_words;
 use crate::metrics::{MeshMetrics, MeshTally};
@@ -101,50 +121,54 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One spike hand-off between pipeline stations.
 #[derive(Debug, Clone)]
 enum Packet {
-    /// A single spike frame.
-    Frame(FramePacket),
-    /// A batch-major block of up to 64 frames.
-    Block(BlockPacket),
-    /// The frame was lost to an injected link fault somewhere upstream.
-    /// The marker still traverses every edge so the pipeline stays in
-    /// lockstep; it charges no link or tile cycles and sinks as a gap for
-    /// the recovery pass to fill.
+    /// Up to [`HAND_OFF_FRAMES`] consecutive frames.
+    Frames(FramesPacket),
+    /// The hand-off's frame was lost to an injected link fault somewhere
+    /// upstream. Only mesh faults lose frames, and they force one-frame
+    /// hand-offs, so a marker always stands for exactly one frame. It still
+    /// traverses every edge so the pipeline stays in lockstep; it charges
+    /// no link or tile cycles and sinks as a gap for the recovery pass to
+    /// fill.
     Lost,
 }
 
-impl Packet {
-    fn frame(&self) -> Result<&FramePacket, CoreError> {
-        match self {
-            Packet::Frame(packet) => Ok(packet),
-            _ => Err(mixed_payloads()),
-        }
-    }
+/// Frames one hand-off carries while no mesh fault is armed.
+///
+/// Smaller hand-offs let later stages start sooner; larger ones pay the
+/// per-hand-off costs (a send and a receive per edge, a worker wake-up, a
+/// few packet buffers) less often. 64 keeps those costs under half an
+/// allocation per frame while a 128-frame run still spans two hand-offs,
+/// so the stages of a two-core pipeline overlap; it is also the lane width
+/// of the bit-sliced batch unit ([`FrameBlock::LANES`]). ARCHITECTURE.md
+/// ("Mesh layer") has the measured trade-off.
+///
+/// [`FrameBlock::LANES`]: esam_bits::FrameBlock::LANES
+const HAND_OFF_FRAMES: usize = 64;
 
-    fn block(&self) -> Result<&BlockPacket, CoreError> {
-        match self {
-            Packet::Block(packet) => Ok(packet),
-            _ => Err(mixed_payloads()),
-        }
-    }
-}
-
-fn mixed_payloads() -> CoreError {
-    CoreError::InvalidConfig("mixed payload kinds in one mesh run".into())
-}
-
+/// Consecutive frames in flight between two stations, frame-major: lane
+/// `k` of every field belongs to the hand-off's `k`-th frame.
 #[derive(Debug, Clone)]
-struct FramePacket {
-    /// The producing core's output slice.
-    slice: BitVec,
-    /// Per-layer serve cycles accumulated from the cascade start.
+struct FramesPacket {
+    /// The producing core's output slices, one row per frame.
+    slices: BitMatrix,
+    /// Per-layer serve cycles accumulated from the cascade start,
+    /// lane-major: `cycles[lane * chain + layer]`.
     cycles: Vec<u64>,
-    /// Readout membranes (output-stage producers only).
+    /// Readout membranes, `[lane * slice width + neuron]` (output-stage
+    /// producers only).
     membranes: Vec<i32>,
+    /// Per-frame accumulators, one per lane.
+    lanes: Vec<Lane>,
+}
+
+/// One frame's accumulators in a [`FramesPacket`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
     /// Critical-path interconnect cycles so far.
     noc_latency: u64,
     /// Slowest pipeline station (core occupancy or link) so far.
     pipe_max: u64,
-    /// CRC-32 of `slice`'s packed words, computed by the producer when
+    /// CRC-32 of the frame's slice words, computed by the producer when
     /// the checksum protocol is armed ([`FaultPlan::corrupt_active`]);
     /// zero otherwise, so the clean path never pays for it.
     crc: u32,
@@ -154,26 +178,43 @@ struct FramePacket {
     finish: u64,
 }
 
+impl FramesPacket {
+    /// The feeder's packet for `frames`. `armed` mirrors
+    /// [`FaultPlan::corrupt_active`]: when the checksum protocol is in use,
+    /// even the feeder stamps its frames so every real edge downstream can
+    /// verify them.
+    fn feed(frames: &[BitVec], armed: bool) -> Self {
+        let width = frames.first().map_or(0, BitVec::len);
+        let mut slices = BitMatrix::new(frames.len(), width);
+        for (lane, frame) in frames.iter().enumerate() {
+            slices.set_row(lane, frame);
+        }
+        let lanes = frames
+            .iter()
+            .map(|frame| Lane {
+                crc: if armed { crc32_words(frame.words()) } else { 0 },
+                ..Lane::default()
+            })
+            .collect();
+        Self {
+            slices,
+            cycles: Vec::new(),
+            membranes: Vec::new(),
+            lanes,
+        }
+    }
+
+    /// Lane `lane`'s cycle chain.
+    fn chain(&self, lane: usize) -> &[u64] {
+        let chain = self.cycles.len() / self.lanes.len().max(1);
+        &self.cycles[lane * chain..(lane + 1) * chain]
+    }
+}
+
 /// Retransmissions a consumer may NACK per hand-off and edge before it
 /// declares the frame lost (it then sinks as a gap for the fault-exempt
 /// recovery pass, like a dropped packet).
 pub const MAX_RETRANSMITS: u64 = 3;
-
-#[derive(Debug, Clone)]
-struct BlockPacket {
-    /// The producing core's output slice, batch-major.
-    slice: FrameBlock,
-    /// Per-layer serve cycles from cascade start, layer-major:
-    /// `cycles[layer * lanes + lane]`.
-    cycles: Vec<u64>,
-    /// Readout membranes, `[lane * slice_width + neuron]` (output stage
-    /// only).
-    membranes: Vec<i32>,
-    /// Per-lane critical-path interconnect cycles.
-    noc_latency: Vec<u64>,
-    /// Per-lane slowest pipeline station.
-    pipe_max: Vec<u64>,
-}
 
 /// A consumer-side input port: where the producer's slice lands in this
 /// core's input frame, and the link it travels (None across the synthetic
@@ -182,10 +223,13 @@ struct BlockPacket {
 struct InPort {
     offset: usize,
     link: Option<LinkStats>,
+    /// The port's slice of the frame being served, copied out of its
+    /// packet.
+    slice: BitVec,
 }
 
-/// What one linked in-edge charged for the hand-off being served — held
-/// until the hand-off's fate (delivered or lost) decides what is drawn.
+/// What one linked in-edge charged for the frame being served — held
+/// until the frame's fate (delivered or lost) decides what is drawn.
 #[derive(Debug, Clone, Copy)]
 struct EdgeCharge {
     /// The producer's finish cycle (the packet's departure).
@@ -209,7 +253,7 @@ struct EdgeCharge {
 
 /// A core's timeline sink (see the module docs' *Tracing*): the core's
 /// track, one track per linked in-port, and the in-edge charges of the
-/// hand-off being served, written by [`CoreSlot::handle_frame`].
+/// frame being served, written by [`CoreSlot::serve_frame`].
 #[derive(Debug, Clone)]
 struct Timeline {
     core: TrackTrace,
@@ -313,69 +357,102 @@ impl Timeline {
 /// A core plus its consumer-side interconnect state. `handle` is the
 /// single handler both execution modes invoke — bit-identity between them
 /// holds by construction: fault decisions are keyed on the slot's own
-/// hand-off counter, which advances identically under either scheduling.
+/// frame counter, which advances identically under either scheduling.
 #[derive(Debug, Clone)]
 struct CoreSlot {
     core: MeshCore,
     ports: Vec<InPort>,
     link: LinkConfig,
     faults: FaultPlan,
-    /// Hand-offs consumed since the last stats reset — the `t` coordinate
-    /// of every fault decision at this core. Lost frames count too (the
+    /// Frames consumed since the last stats reset — the `t` coordinate of
+    /// every fault decision at this core. Lost frames count too (the
     /// hand-off happened), fault-exempt recovery walks do not.
-    hand_offs: u64,
+    consumed: u64,
     /// Injected-fault counters of the current run (drops, delays,
     /// corruptions, retransmits, stalls), merged into the run's tally when
     /// it completes.
     injected: MeshTally,
     /// The timeline sink, attached only by [`MeshSystem::run_traced`].
     timeline: Option<Timeline>,
+    /// The frame being served, assembled from the in-ports' slices.
+    input: BitVec,
+    /// The core's fired slice of the frame being served.
+    fired: BitVec,
+    /// The core's readout membranes for that frame (output stage only;
+    /// empty elsewhere).
+    membranes: Vec<i32>,
 }
 
 impl CoreSlot {
-    /// Serves one hand-off. `exempt` marks the recovery path: no fault
-    /// decisions are made, the hand-off counter does not advance and
-    /// nothing is drawn, so a recovered frame is the exact unfaulted
-    /// computation.
+    /// Serves one hand-off, frame by frame in lane order (see
+    /// [`serve_frame`](Self::serve_frame)). `exempt` marks the recovery
+    /// path: no fault decisions are made, the frame counter does not
+    /// advance and nothing is drawn, so a recovered frame is the exact
+    /// unfaulted computation.
     fn handle(&mut self, inputs: &[Packet], exempt: bool) -> Result<Packet, CoreError> {
         debug_assert_eq!(inputs.len(), self.ports.len());
-        let t = self.hand_offs;
-        if !exempt {
-            self.hand_offs += 1;
-        }
-        if inputs.iter().any(|packet| matches!(packet, Packet::Lost)) {
-            // An upstream loss already doomed this frame: consume the
-            // hand-off and propagate the marker (lockstep) without any
-            // tile work or link charges.
-            if let Some(timeline) = self.timeline.as_mut().filter(|_| !exempt) {
-                timeline.lost();
+        let mut packets = Vec::with_capacity(inputs.len());
+        for input in inputs {
+            match input {
+                Packet::Frames(packet) => packets.push(packet),
+                Packet::Lost => {
+                    // An upstream loss already doomed this frame: consume
+                    // it and propagate the marker (lockstep) without any
+                    // tile work or link charges.
+                    if !exempt {
+                        self.consumed += 1;
+                        if let Some(timeline) = self.timeline.as_mut() {
+                            timeline.lost();
+                        }
+                    }
+                    return Ok(Packet::Lost);
+                }
             }
-            return Ok(Packet::Lost);
         }
-        match inputs.first() {
-            Some(Packet::Frame(_)) => self.handle_frame(inputs, exempt, t),
-            Some(Packet::Block(_)) | Some(Packet::Lost) => self.handle_block(inputs),
-            None => Err(CoreError::InvalidConfig(
+        let Some(first) = packets.first() else {
+            return Err(CoreError::InvalidConfig(
                 "a mesh core received an empty hand-off".into(),
-            )),
-        }
-    }
-
-    fn handle_frame(
-        &mut self,
-        inputs: &[Packet],
-        exempt: bool,
-        t: u64,
-    ) -> Result<Packet, CoreError> {
-        let faults = self.faults;
-        let packets = inputs
-            .iter()
-            .map(Packet::frame)
-            .collect::<Result<Vec<_>, _>>()?;
+            ));
+        };
         debug_assert!(
             packets.windows(2).all(|w| w[0].cycles == w[1].cycles),
             "upstream cycle chains diverged across shards"
         );
+        let lanes = first.lanes.len();
+        let width = self.fired.len();
+        let readout = if self.core.is_output() { width } else { 0 };
+        let mut out = FramesPacket {
+            slices: BitMatrix::new(lanes, width),
+            cycles: Vec::with_capacity(first.cycles.len() + lanes * self.core.tiles().len()),
+            membranes: Vec::with_capacity(lanes * readout),
+            lanes: Vec::with_capacity(lanes),
+        };
+        for lane in 0..lanes {
+            if !self.serve_frame(&packets, lane, exempt, &mut out)? {
+                debug_assert_eq!(lanes, 1, "mesh faults force one-frame hand-offs");
+                return Ok(Packet::Lost);
+            }
+        }
+        Ok(Packet::Frames(out))
+    }
+
+    /// Serves lane `lane` of a hand-off and appends the frame to `out`:
+    /// drop verdicts, link charges, CRC/NACK, delay, input assembly, the
+    /// core's [`walk_frame`], stall and timeline, in that order. Returns
+    /// `false` when the frame is lost at this core — to its own drop
+    /// verdicts or to a retry budget running dry.
+    fn serve_frame(
+        &mut self,
+        packets: &[&FramesPacket],
+        lane: usize,
+        exempt: bool,
+        out: &mut FramesPacket,
+    ) -> Result<bool, CoreError> {
+        let t = self.consumed;
+        if !exempt {
+            self.consumed += 1;
+        }
+        let faults = self.faults;
         let mut timeline = self.timeline.as_mut().filter(|_| !exempt);
         // Consumer-side drop verdicts, one per real in-edge (the synthetic
         // feeder edge never faults). Any hit dooms the whole frame at this
@@ -397,7 +474,7 @@ impl CoreSlot {
                 if let Some(timeline) = timeline {
                     timeline.lost();
                 }
-                return Ok(Packet::Lost);
+                return Ok(false);
             }
         }
         let link = self.link;
@@ -405,14 +482,17 @@ impl CoreSlot {
         let mut noc_in = 0u64;
         let mut pipe_in = 0u64;
         let mut lost = false;
-        for (port, packet) in self.ports.iter_mut().zip(&packets) {
+        for (port, packet) in self.ports.iter_mut().zip(packets) {
+            packet.slices.copy_row_into(lane, &mut port.slice);
+            let upstream = packet.lanes[lane];
             let Some(stats) = port.link.as_mut() else {
                 // The synthetic feeder edge costs nothing.
-                noc_in = noc_in.max(packet.noc_latency);
-                pipe_in = pipe_in.max(packet.pipe_max);
+                noc_in = noc_in.max(upstream.noc_latency);
+                pipe_in = pipe_in.max(upstream.pipe_max);
                 continue;
             };
-            let events = packet.slice.count_ones() as u64;
+            let slice = &port.slice;
+            let events = slice.count_ones() as u64;
             let (hop, serialize) = stats.charge(&link, events);
             let mut cost = hop + serialize;
             let (mut corrupted, mut retransmits) = (0u64, 0u64);
@@ -429,10 +509,10 @@ impl CoreSlot {
                 loop {
                     cost += stats.charge_crc();
                     let received_crc = match faults.packet_corrupt(t, src, dst, attempt) {
-                        None => crc32_words(packet.slice.words()),
+                        None => crc32_words(slice.words()),
                         Some(selector) => {
-                            let mut words = packet.slice.words().to_vec();
-                            let bit = (selector % packet.slice.len().max(1) as u64) as usize;
+                            let mut words = slice.words().to_vec();
+                            let bit = (selector % slice.len().max(1) as u64) as usize;
                             words[bit / 64] ^= 1u64 << (bit % 64);
                             let got = crc32_words(&words);
                             // CRC-32 catches every single-bit error; a
@@ -440,13 +520,13 @@ impl CoreSlot {
                             // to eat wrong data — abort loudly instead of
                             // masking it.
                             assert_ne!(
-                                got, packet.crc,
+                                got, upstream.crc,
                                 "CRC-32 must flag a single-bit in-flight upset"
                             );
                             got
                         }
                     };
-                    if received_crc == packet.crc {
+                    if received_crc == upstream.crc {
                         // Verified clean — consume.
                         break;
                     }
@@ -473,7 +553,7 @@ impl CoreSlot {
             self.injected.retransmits += retransmits;
             if let Some(timeline) = timeline.as_deref_mut() {
                 timeline.edges.push(EdgeCharge {
-                    departed: packet.finish,
+                    departed: upstream.finish,
                     hop,
                     serialize,
                     events,
@@ -483,8 +563,8 @@ impl CoreSlot {
                     cost,
                 });
             }
-            noc_in = noc_in.max(packet.noc_latency + cost);
-            pipe_in = pipe_in.max(packet.pipe_max.max(cost));
+            noc_in = noc_in.max(upstream.noc_latency + cost);
+            pipe_in = pipe_in.max(upstream.pipe_max.max(cost));
         }
         if lost {
             // The retry budget ran dry on some in-edge: the transmissions
@@ -494,33 +574,26 @@ impl CoreSlot {
             if let Some(timeline) = timeline {
                 timeline.lost();
             }
-            return Ok(Packet::Lost);
+            return Ok(false);
         }
-        let width = self.core.input_width();
-        let assembled;
-        let input = if packets.len() == 1 && self.ports[0].offset == 0 {
-            &packets[0].slice
-        } else {
-            let mut frame = BitVec::new(width);
-            for (port, packet) in self.ports.iter().zip(&packets) {
-                frame.copy_bits_from(&packet.slice, port.offset);
-            }
-            assembled = frame;
-            &assembled
-        };
-        let chain = packets[0].cycles.len();
-        let mut cycles = Vec::with_capacity(chain + self.core.tiles().len());
-        cycles.extend_from_slice(&packets[0].cycles);
-        let mut membranes = Vec::new();
+        for port in &self.ports {
+            self.input.copy_bits_from(&port.slice, port.offset);
+        }
+        let chain = packets[0].chain(lane);
+        let start = out.cycles.len() + chain.len();
+        out.cycles.extend_from_slice(chain);
         let is_output = self.core.is_output();
-        let slice = walk_frame(
+        walk_frame(
             self.core.tiles_mut(),
-            input,
-            &mut cycles,
-            is_output.then_some(&mut membranes),
+            &self.input,
+            &mut self.fired,
+            &mut out.cycles,
+            is_output.then_some(&mut self.membranes),
             None,
         )?;
-        let mut occupancy: u64 = cycles[chain..].iter().sum();
+        out.slices.set_row(lane, &self.fired);
+        out.membranes.extend_from_slice(&self.membranes);
+        let mut occupancy: u64 = out.cycles[start..].iter().sum();
         let mut stall = None;
         if !exempt && faults.core_stall(t, self.core.id() as u64) {
             // A stalled core occupies its pipeline station longer; the
@@ -531,117 +604,25 @@ impl CoreSlot {
         }
         let finish = timeline.map_or(0, |timeline| timeline.delivered(occupancy, stall));
         let crc = if faults.corrupt_active() {
-            crc32_words(slice.words())
+            crc32_words(self.fired.words())
         } else {
             0
         };
-        Ok(Packet::Frame(FramePacket {
-            slice,
-            cycles,
-            membranes,
+        out.lanes.push(Lane {
             noc_latency: noc_in,
             pipe_max: pipe_in.max(occupancy),
             crc,
             finish,
-        }))
-    }
-
-    fn handle_block(&mut self, inputs: &[Packet]) -> Result<Packet, CoreError> {
-        let packets = inputs
-            .iter()
-            .map(Packet::block)
-            .collect::<Result<Vec<_>, _>>()?;
-        debug_assert!(
-            packets.windows(2).all(|w| w[0].cycles == w[1].cycles),
-            "upstream cycle chains diverged across shards"
-        );
-        let lanes = packets[0].slice.lanes();
-        let mut noc_in = vec![0u64; lanes];
-        let mut pipe_in = vec![0u64; lanes];
-        for (port, packet) in self.ports.iter_mut().zip(&packets) {
-            let counts = packet.slice.lane_counts();
-            for lane in 0..lanes {
-                let cost = match port.link.as_mut() {
-                    Some(stats) => {
-                        let (hop, serialize) = stats.charge(&self.link, u64::from(counts[lane]));
-                        hop + serialize
-                    }
-                    None => 0,
-                };
-                noc_in[lane] = noc_in[lane].max(packet.noc_latency[lane] + cost);
-                pipe_in[lane] = pipe_in[lane].max(packet.pipe_max[lane].max(cost));
-            }
-        }
-        let width = self.core.input_width();
-        let assembled;
-        let input = if packets.len() == 1 && self.ports[0].offset == 0 {
-            &packets[0].slice
-        } else {
-            let mut block = FrameBlock::new(width, lanes);
-            for (port, packet) in self.ports.iter().zip(&packets) {
-                block.copy_rows_from(&packet.slice, port.offset);
-            }
-            assembled = block;
-            &assembled
-        };
-        let chain = packets[0].cycles.len();
-        let mut cycles = Vec::with_capacity(chain + self.core.tiles().len() * lanes);
-        cycles.extend_from_slice(&packets[0].cycles);
-        let mut membranes = Vec::new();
-        let is_output = self.core.is_output();
-        let slice = walk_block(
-            self.core.tiles_mut(),
-            input,
-            &mut cycles,
-            is_output.then_some(&mut membranes),
-        )?;
-        let mut pipe_out = pipe_in;
-        for (lane, pipe) in pipe_out.iter_mut().enumerate() {
-            let occupancy: u64 = cycles[chain..].iter().skip(lane).step_by(lanes).sum();
-            *pipe = (*pipe).max(occupancy);
-        }
-        Ok(Packet::Block(BlockPacket {
-            slice,
-            cycles,
-            membranes,
-            noc_latency: noc_in,
-            pipe_max: pipe_out,
-        }))
+        });
+        Ok(true)
     }
 }
 
-/// A feeder packet for one frame. `armed` mirrors
-/// [`FaultPlan::corrupt_active`]: when the checksum protocol is in use,
-/// even the feeder stamps its packets so every real edge downstream can
-/// verify them.
-fn feeder_frame(frame: &BitVec, armed: bool) -> Packet {
-    Packet::Frame(FramePacket {
-        slice: frame.clone(),
-        cycles: Vec::new(),
-        membranes: Vec::new(),
-        noc_latency: 0,
-        pipe_max: 0,
-        crc: if armed { crc32_words(frame.words()) } else { 0 },
-        finish: 0,
-    })
-}
-
-/// The feeder's packets for a batch: one per frame, or one per ≤64-frame
-/// block when `blocks`.
-fn feed(frames: &[BitVec], blocks: bool, armed: bool) -> impl Iterator<Item = Packet> + '_ {
-    let lanes = if blocks { FrameBlock::LANES } else { 1 };
-    frames.chunks(lanes).map(move |chunk| {
-        if !blocks {
-            return feeder_frame(&chunk[0], armed);
-        }
-        Packet::Block(BlockPacket {
-            slice: FrameBlock::from_frames(chunk),
-            cycles: Vec::new(),
-            membranes: Vec::new(),
-            noc_latency: vec![0; chunk.len()],
-            pipe_max: vec![0; chunk.len()],
-        })
-    })
+/// The feeder's packets for a batch, `per_hand_off` frames each.
+fn feed(frames: &[BitVec], per_hand_off: usize, armed: bool) -> impl Iterator<Item = Packet> + '_ {
+    frames
+        .chunks(per_hand_off)
+        .map(move |chunk| Packet::Frames(FramesPacket::feed(chunk, armed)))
 }
 
 /// Sends `packet` down every channel (clones for all but the last);
@@ -666,107 +647,58 @@ struct Readout {
 }
 
 impl Readout {
-    /// Collects one hand-off's readout packets into results — one per
-    /// frame, one per lane of a block — and folds their cycle
-    /// accumulators into the tally. A frame lost to an injected link fault
-    /// sinks as `None`, a gap the recovery pass fills after the run.
+    /// Collects one hand-off's readout packets into results, one per frame
+    /// in lane order, and folds their cycle accumulators into the tally. A
+    /// frame lost to an injected link fault sinks as `None`, a gap the
+    /// recovery pass fills after the run.
     fn record(
         &self,
         packets: &[Packet],
         results: &mut Vec<Option<InferenceResult>>,
         tally: &mut MeshTally,
-    ) -> Result<(), CoreError> {
-        if packets.iter().any(|packet| matches!(packet, Packet::Lost)) {
-            results.push(None);
-            return Ok(());
+    ) {
+        let mut shards = Vec::with_capacity(packets.len());
+        for packet in packets {
+            match packet {
+                Packet::Frames(shard) => shards.push(shard),
+                Packet::Lost => {
+                    results.push(None);
+                    return;
+                }
+            }
         }
-        if matches!(packets.first(), Some(Packet::Block(_))) {
-            return self.record_block(packets, results, tally);
-        }
-        let shards = packets
-            .iter()
-            .map(Packet::frame)
-            .collect::<Result<Vec<_>, _>>()?;
         debug_assert!(
             shards.windows(2).all(|w| w[0].cycles == w[1].cycles),
             "readout shards disagree on the cascade cycle chain"
         );
-        let mut membranes = Vec::with_capacity(self.width);
-        for shard in &shards {
-            membranes.extend_from_slice(&shard.membranes);
-        }
-        let output_spikes = if shards.len() == 1 {
-            shards[0].slice.clone()
-        } else {
-            let mut spikes = BitVec::new(self.width);
-            for (shard, &offset) in shards.iter().zip(&self.offsets) {
-                spikes.copy_bits_from(&shard.slice, offset);
-            }
-            spikes
-        };
-        let result = InferenceResult::from_readout(
-            membranes,
-            &self.bias,
-            output_spikes,
-            shards[0].cycles.clone(),
-        );
-        tally.tiles.record(&result);
-        tally.mesh_bottleneck_cycles += shards.iter().map(|s| s.pipe_max).max().unwrap_or(0);
-        tally.noc_latency_cycles += shards.iter().map(|s| s.noc_latency).max().unwrap_or(0);
-        results.push(Some(result));
-        Ok(())
-    }
-
-    /// [`record`](Self::record) for a block payload: every lane of the
-    /// readout block becomes its own result, in lane order.
-    fn record_block(
-        &self,
-        packets: &[Packet],
-        results: &mut Vec<Option<InferenceResult>>,
-        tally: &mut MeshTally,
-    ) -> Result<(), CoreError> {
-        let shards = packets
-            .iter()
-            .map(Packet::block)
-            .collect::<Result<Vec<_>, _>>()?;
-        debug_assert!(
-            shards.windows(2).all(|w| w[0].cycles == w[1].cycles),
-            "readout shards disagree on the cascade cycle chain"
-        );
-        let lanes = shards[0].slice.lanes();
-        let full = if shards.len() == 1 {
-            shards[0].slice.clone()
-        } else {
-            let mut block = FrameBlock::new(self.width, lanes);
-            for (shard, &offset) in shards.iter().zip(&self.offsets) {
-                block.copy_rows_from(&shard.slice, offset);
-            }
-            block
-        };
-        for lane in 0..lanes {
+        for lane in 0..shards[0].lanes.len() {
             let mut membranes = Vec::with_capacity(self.width);
             for shard in &shards {
-                let width = shard.slice.width();
+                let width = shard.slices.cols();
                 membranes.extend_from_slice(&shard.membranes[lane * width..(lane + 1) * width]);
             }
-            let per_tile_cycles = shards[0].cycles.iter().skip(lane).step_by(lanes);
+            let output_spikes = match shards.as_slice() {
+                [shard] => shard.slices.row(lane),
+                _ => {
+                    let mut spikes = BitVec::new(self.width);
+                    for (shard, &offset) in shards.iter().zip(&self.offsets) {
+                        spikes.copy_bits_from(&shard.slices.row(lane), offset);
+                    }
+                    spikes
+                }
+            };
             let result = InferenceResult::from_readout(
                 membranes,
                 &self.bias,
-                full.lane_frame(lane),
-                per_tile_cycles.copied().collect(),
+                output_spikes,
+                shards[0].chain(lane).to_vec(),
             );
             tally.tiles.record(&result);
-            tally.mesh_bottleneck_cycles +=
-                shards.iter().map(|s| s.pipe_max[lane]).max().unwrap_or(0);
-            tally.noc_latency_cycles += shards
-                .iter()
-                .map(|s| s.noc_latency[lane])
-                .max()
-                .unwrap_or(0);
+            let frame = shards.iter().map(|shard| shard.lanes[lane]);
+            tally.mesh_bottleneck_cycles += frame.clone().map(|f| f.pipe_max).max().unwrap_or(0);
+            tally.noc_latency_cycles += frame.map(|f| f.noc_latency).max().unwrap_or(0);
             results.push(Some(result));
         }
-        Ok(())
     }
 }
 
@@ -812,8 +744,9 @@ impl MeshSystem {
         let stage_count = plan.stages().len();
         let mut slots: Vec<CoreSlot> = Vec::with_capacity(plan.cores());
         let mut stage_ranges = Vec::with_capacity(stage_count);
-        // (core id, column offset) of the previous stage's shards.
-        let mut prev: Vec<(usize, usize)> = Vec::new();
+        // (core id, column offset, slice width) of the previous stage's
+        // shards.
+        let mut prev: Vec<(usize, usize, usize)> = Vec::new();
         for (stage_index, stage) in plan.stages().iter().enumerate() {
             let start = slots.len();
             let is_output = stage_index + 1 == stage_count;
@@ -833,31 +766,36 @@ impl MeshSystem {
                     vec![InPort {
                         offset: 0,
                         link: None,
+                        slice: BitVec::new(core.input_width()),
                     }]
                 } else {
                     prev.iter()
-                        .map(|&(src, offset)| InPort {
+                        .map(|&(src, offset, width)| InPort {
                             offset,
                             link: Some(LinkStats::new(src, id, (id - src) as u64)),
+                            slice: BitVec::new(width),
                         })
                         .collect()
                 };
                 slots.push(CoreSlot {
+                    input: BitVec::new(core.input_width()),
+                    fired: BitVec::new(cols.len()),
+                    membranes: Vec::new(),
                     core,
                     ports,
                     link: *mesh.link_config(),
                     faults: *mesh.fault_plan(),
-                    hand_offs: 0,
+                    consumed: 0,
                     injected: MeshTally::default(),
                     timeline: None,
                 });
-                current.push((id, cols.start));
+                current.push((id, cols.start, cols.len()));
             }
             stage_ranges.push(start..slots.len());
             prev = current;
         }
         let readout = Readout {
-            offsets: prev.iter().map(|&(_, offset)| offset).collect(),
+            offsets: prev.iter().map(|&(_, offset, _)| offset).collect(),
             width: model.output_bias().len(),
             bias: model.output_bias().to_vec(),
         };
@@ -905,7 +843,7 @@ impl MeshSystem {
     }
 
     /// Resets every activity counter: tile stats, link stats, the mesh
-    /// tally, and the per-core hand-off counters that key fault decisions
+    /// tally, and the per-core frame counters that key fault decisions
     /// (so fault sites are a function of the frame's index within the
     /// measured batch).
     pub fn reset_stats(&mut self) {
@@ -916,7 +854,7 @@ impl MeshSystem {
                     *stats = LinkStats::new(stats.src, stats.dst, stats.distance);
                 }
             }
-            slot.hand_offs = 0;
+            slot.consumed = 0;
             slot.injected = MeshTally::default();
         }
         self.tally = MeshTally::default();
@@ -947,10 +885,9 @@ impl MeshSystem {
     /// order. Activity accumulates in the tiles, links and
     /// [`tally`](Self::tally).
     ///
-    /// The payload format follows [`PayloadMode`]; `Blocks` (and `Auto` on
-    /// multi-frame batches) streams [`FrameBlock`] packets when the
-    /// bit-sliced path's eligibility guard admits the whole mesh, falling
-    /// back to frames otherwise, so results are always exact.
+    /// Frames travel in hand-offs of up to 64 consecutive frames, one per
+    /// hand-off while a mesh fault is armed (see the module docs). The
+    /// hand-off size changes no result, tally or counter.
     ///
     /// # Errors
     ///
@@ -961,18 +898,9 @@ impl MeshSystem {
         if frames.is_empty() {
             return Ok(Vec::new());
         }
-        // Mesh faults act on per-frame hand-offs, so they force the frame
-        // payload; with the plan disabled the payload choice (and every
-        // result and counter) is bit-identical to the unfaulted build.
-        let blocks = !self.mesh.fault_plan().mesh_active()
-            && match self.mesh.payload_mode() {
-                PayloadMode::Frames => false,
-                PayloadMode::Blocks => self.block_eligible(),
-                PayloadMode::Auto => frames.len() > 1 && self.block_eligible(),
-            };
         match self.mesh.execution_mode() {
-            Execution::Sequential => self.run_sequential(frames, blocks),
-            Execution::Pipelined => self.run_pipelined(frames, blocks),
+            Execution::Sequential => self.run_sequential(frames),
+            Execution::Pipelined => self.run_pipelined(frames),
         }
     }
 
@@ -1056,10 +984,16 @@ impl MeshSystem {
         self.slots.iter().flat_map(|slot| slot.core.tiles())
     }
 
-    /// Whether the block payload is exact for the current mesh state:
-    /// every tile of every core is [`block_ready`](Tile::block_ready).
-    fn block_eligible(&self) -> bool {
-        self.tiles().all(Tile::block_ready)
+    /// Frames per hand-off: [`HAND_OFF_FRAMES`], or one while a mesh fault
+    /// is armed. Mesh faults are keyed per hand-off, so one-frame hand-offs
+    /// keep every fault site, lost marker and retransmission where a
+    /// frame-by-frame run puts it.
+    fn hand_off_frames(&self) -> usize {
+        if self.mesh.fault_plan().mesh_active() {
+            1
+        } else {
+            HAND_OFF_FRAMES
+        }
     }
 
     fn check_widths(&self, frames: &[BitVec]) -> Result<(), CoreError> {
@@ -1073,8 +1007,7 @@ impl MeshSystem {
         }
     }
 
-    /// Runs a batch on the sequential reference path with frame payloads,
-    /// recording the pipeline's steady-state timeline in the modeled cycle
+    /// Runs a batch on the sequential reference path, recording the pipeline's steady-state timeline in the modeled cycle
     /// domain: per-core `frame` occupancy spans with fill/imbalance
     /// `bubble` spans, per-link `hop` + `serialize` transfer spans, and
     /// injected faults (`packet-drop`, `packet-corrupt`, `packet-delay`,
@@ -1083,8 +1016,8 @@ impl MeshSystem {
     ///
     /// The timeline is drawn by the handlers as they charge (see the module
     /// docs), so results, tallies and every activity counter are exactly
-    /// those of [`run`](Self::run) under [`Execution::Sequential`] with
-    /// frame payloads. It is pure cycle arithmetic, independent of wall
+    /// those of [`run`](Self::run) under [`Execution::Sequential`], with
+    /// the same hand-offs. It is pure cycle arithmetic, independent of wall
     /// time: the cycle-domain Chrome export of the returned [`Trace`] is
     /// byte-identical across runs. The fault-exempt recovery pass draws
     /// nothing.
@@ -1108,7 +1041,7 @@ impl MeshSystem {
             link_tid += timeline.links.len() as u32;
             slot.timeline = Some(timeline);
         }
-        let outcome = self.run_sequential(frames, false);
+        let outcome = self.run_sequential(frames);
         let mut trace = Trace::new();
         trace.name_process(MESH_TRACE_PID, "esam-mesh");
         for slot in &mut self.slots {
@@ -1122,19 +1055,15 @@ impl MeshSystem {
         Ok((outcome?, trace))
     }
 
-    /// The retained single-threaded reference: stage order, frame by
-    /// frame, through the same handlers the pipelined mode runs.
-    fn run_sequential(
-        &mut self,
-        frames: &[BitVec],
-        blocks: bool,
-    ) -> Result<Vec<InferenceResult>, CoreError> {
+    /// The retained single-threaded reference: stage order, hand-off by
+    /// hand-off, through the same handlers the pipelined mode runs.
+    fn run_sequential(&mut self, frames: &[BitVec]) -> Result<Vec<InferenceResult>, CoreError> {
         let mut results = Vec::with_capacity(frames.len());
         let mut tally = MeshTally::default();
         let armed = self.mesh.fault_plan().corrupt_active();
-        for packet in feed(frames, blocks, armed) {
+        for packet in feed(frames, self.hand_off_frames(), armed) {
             let packets = self.walk_stages(packet, false)?;
-            self.readout.record(&packets, &mut results, &mut tally)?;
+            self.readout.record(&packets, &mut results, &mut tally);
         }
         self.finish_run(frames, results, tally)
     }
@@ -1174,9 +1103,10 @@ impl MeshSystem {
             if slot.is_some() {
                 continue;
             }
-            let packets = self.walk_stages(feeder_frame(&frames[index], armed), true)?;
+            let feed = FramesPacket::feed(std::slice::from_ref(&frames[index]), armed);
+            let packets = self.walk_stages(Packet::Frames(feed), true)?;
             let mut recovered = Vec::with_capacity(1);
-            self.readout.record(&packets, &mut recovered, &mut tally)?;
+            self.readout.record(&packets, &mut recovered, &mut tally);
             tally.frames_recovered += 1;
             *slot = recovered.pop().expect("one frame in, one result out");
             debug_assert!(
@@ -1207,11 +1137,7 @@ impl MeshSystem {
     /// frames that never reached the sink are recovered sequentially. A
     /// mid-batch core death therefore degrades throughput, never
     /// correctness, and cannot deadlock or tear down the calling thread.
-    fn run_pipelined(
-        &mut self,
-        frames: &[BitVec],
-        blocks: bool,
-    ) -> Result<Vec<InferenceResult>, CoreError> {
+    fn run_pipelined(&mut self, frames: &[BitVec]) -> Result<Vec<InferenceResult>, CoreError> {
         let capacity = self.mesh.channel_depth();
         let stage_count = self.stage_ranges.len();
         let slot_count = self.slots.len();
@@ -1248,11 +1174,8 @@ impl MeshSystem {
         let panics: Mutex<u64> = Mutex::new(0);
         let mut results: Vec<Option<InferenceResult>> = Vec::with_capacity(frames.len());
         let mut tally = MeshTally::default();
-        let hand_offs = if blocks {
-            frames.len().div_ceil(FrameBlock::LANES)
-        } else {
-            frames.len()
-        };
+        let per_hand_off = self.hand_off_frames();
+        let hand_offs = frames.len().div_ceil(per_hand_off);
         let link_timeout = self.mesh.link_timeout_budget();
         let armed = self.mesh.fault_plan().corrupt_active();
         let slots = &mut self.slots;
@@ -1260,7 +1183,7 @@ impl MeshSystem {
 
         thread::scope(|scope| {
             let feeder = scope.spawn(move || {
-                for packet in feed(frames, blocks, armed) {
+                for packet in feed(frames, per_hand_off, armed) {
                     if !broadcast(&feed_tx, packet) {
                         return;
                     }
@@ -1290,7 +1213,7 @@ impl MeshSystem {
                         // its endpoints, and the run degrades instead of
                         // unwinding through the scope.
                         let core_id = slot.core.id();
-                        let doomed = slot.faults.core_panic(slot.hand_offs, core_id as u64);
+                        let doomed = slot.faults.core_panic(slot.consumed, core_id as u64);
                         let handled = catch_unwind(AssertUnwindSafe(|| {
                             if doomed {
                                 panic!("injected core fault (core {core_id})");
@@ -1337,10 +1260,7 @@ impl MeshSystem {
                         None => break 'sink,
                     }
                 }
-                if let Err(error) = readout.record(&packets, &mut results, &mut tally) {
-                    lock_recover(&errors).push(error);
-                    break 'sink;
-                }
+                readout.record(&packets, &mut results, &mut tally);
             }
             // Release the sink's receivers so upstream cores unwind if the
             // loop broke early, then join every spawned thread explicitly.

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use esam_bits::BitVec;
 use esam_core::SystemConfig;
 use esam_mesh::spsc::{channel, SendError};
-use esam_mesh::{MeshConfig, MeshSystem, PayloadMode};
+use esam_mesh::{MeshConfig, MeshSystem};
 use esam_nn::{BnnNetwork, SnnModel};
 use esam_sram::BitcellKind;
 
@@ -64,12 +64,8 @@ fn capacity_one_channels_still_make_progress() {
 #[test]
 fn repeated_runs_reuse_the_same_mesh() {
     // Channels are per-run: a fresh matrix each call, so back-to-back runs
-    // (including block payloads) must not interfere.
-    let mut system = mesh(
-        &[128, 64, 10],
-        2,
-        MeshConfig::with_cores(2).payload(PayloadMode::Blocks),
-    );
+    // (each spanning two hand-offs) must not interfere.
+    let mut system = mesh(&[128, 64, 10], 2, MeshConfig::with_cores(2));
     for round in 0..3 {
         let results = system.run(&frames(128, 65)).unwrap();
         assert_eq!(results.len(), 65, "round {round}");

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use esam_bits::BitVec;
 use esam_core::{EsamSystem, SystemConfig};
-use esam_mesh::{Execution, FaultConfig, FaultPlan, MeshConfig, MeshSystem, PayloadMode};
+use esam_mesh::{Execution, FaultConfig, FaultPlan, MeshConfig, MeshSystem};
 use esam_nn::{BnnNetwork, SnnModel};
 use esam_sram::BitcellKind;
 
@@ -328,11 +328,9 @@ fn retransmit_cycles_are_charged_deterministically_on_the_links() {
         );
     }
     // The protection is not free: the same batch over a clean plan busies
-    // the links strictly less (frame payloads on both sides, so the
-    // comparison is charge-for-charge).
-    let clean_config = MeshConfig::with_cores(3)
-        .execution(Execution::Sequential)
-        .payload(PayloadMode::Frames);
+    // the links strictly less (links charge per frame whatever the
+    // hand-off size, so the comparison is charge-for-charge).
+    let clean_config = MeshConfig::with_cores(3).execution(Execution::Sequential);
     let mut clean = MeshSystem::from_model(&model, &config, &clean_config).unwrap();
     let clean_metrics = clean.measure(&batch).unwrap();
     let busy = |links: &[esam_mesh::LinkStats]| links.iter().map(|l| l.busy_cycles).sum::<u64>();

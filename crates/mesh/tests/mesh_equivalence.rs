@@ -5,7 +5,7 @@
 //! 1. **Mesh-parallel ≡ mesh-sequential, always**: `Execution::Pipelined`
 //!    and `Execution::Sequential` run the same per-core handlers, so
 //!    results, the mesh tally and *every* tile/array counter must match at
-//!    any core count, payload mode and batch shape.
+//!    any core count and batch shape, across hand-off boundaries.
 //! 2. **Mesh ≡ plain `EsamSystem`**: outputs (predictions, logits,
 //!    membranes, output spikes, per-tile cycles) match frame for frame at
 //!    every core count. When the plan is layer-granular (no column
@@ -16,9 +16,10 @@
 
 use esam_bits::BitVec;
 use esam_core::{EsamSystem, SystemConfig, TileStats};
-use esam_mesh::{Execution, MeshConfig, MeshSystem, PayloadMode};
+use esam_mesh::{Execution, MeshConfig, MeshSystem};
+use esam_neuron::{NeuronConfig, ResetPolicy};
 use esam_nn::{BnnNetwork, SnnModel};
-use esam_sram::BitcellKind;
+use esam_sram::{AccessStats, BitcellKind};
 use proptest::prelude::*;
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
@@ -44,6 +45,13 @@ fn random_frames(width: usize, count: usize, seed: u64, density: f64) -> Vec<Bit
 fn mesh_tile_stats(mesh: &MeshSystem) -> Vec<TileStats> {
     mesh.cores()
         .flat_map(|core| core.tiles().iter().map(|t| *t.stats()))
+        .collect()
+}
+
+/// Per-array access counters of a mesh, tile by tile in core order.
+fn mesh_array_stats(mesh: &MeshSystem) -> Vec<Vec<AccessStats>> {
+    mesh.cores()
+        .flat_map(|core| core.tiles().iter().map(|t| t.array_stats().to_vec()))
         .collect()
 }
 
@@ -76,15 +84,11 @@ fn assert_pipelined_matches_sequential(
         mesh_tile_stats(&sequential),
         "{label}: per-tile TileStats"
     );
-    let seq_arrays: Vec<_> = sequential
-        .cores()
-        .flat_map(|c| c.tiles().iter().map(|t| t.array_stats().to_vec()))
-        .collect();
-    let pipe_arrays: Vec<_> = pipelined
-        .cores()
-        .flat_map(|c| c.tiles().iter().map(|t| t.array_stats().to_vec()))
-        .collect();
-    assert_eq!(pipe_arrays, seq_arrays, "{label}: per-array AccessStats");
+    assert_eq!(
+        mesh_array_stats(&pipelined),
+        mesh_array_stats(&sequential),
+        "{label}: per-array AccessStats"
+    );
     (sequential, expected)
 }
 
@@ -130,10 +134,10 @@ fn assert_mesh_matches_plain(
     }
 }
 
-fn exercise(topology: &[usize], seed: u64, cores: usize, batch: &[BitVec], payload: PayloadMode) {
+fn exercise(topology: &[usize], seed: u64, cores: usize, batch: &[BitVec]) {
     let (model, config) = model_and_config(topology, seed);
-    let mesh_config = MeshConfig::with_cores(cores).payload(payload);
-    let label = format!("{topology:?} cores={cores} n={} {payload:?}", batch.len());
+    let mesh_config = MeshConfig::with_cores(cores);
+    let label = format!("{topology:?} cores={cores} n={}", batch.len());
     let (mesh, results) =
         assert_pipelined_matches_sequential(&model, &config, &mesh_config, batch, &label);
     assert_mesh_matches_plain(&mesh, &results, &model, &config, batch, &label);
@@ -142,7 +146,8 @@ fn exercise(topology: &[usize], seed: u64, cores: usize, batch: &[BitVec], paylo
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random deep networks at the pinned core counts, frame payloads.
+    /// Random deep networks at the pinned core counts, batches inside one
+    /// hand-off.
     #[test]
     fn random_networks_match_with_frame_payloads(
         seed in 0u64..10_000,
@@ -156,27 +161,29 @@ proptest! {
         let topology = [128, hidden, hidden / 2 + 8, 10];
         let batch = random_frames(128, count, seed.wrapping_add(17), density);
         for cores in [1usize, 2, 4, 7] {
-            exercise(&topology, seed, cores, &batch, PayloadMode::Frames);
+            exercise(&topology, seed, cores, &batch);
         }
     }
 
-    /// Block payloads, including ragged batch tails (counts straddling the
-    /// 64-lane block width).
+    /// Batches straddling the 64-frame hand-off boundaries: one or two
+    /// hand-offs with a ragged tail, and two or three around 128.
     #[test]
-    fn random_networks_match_with_block_payloads(
+    fn random_networks_match_across_hand_off_boundaries(
         seed in 0u64..10_000,
-        count in 60usize..70,
+        // 0..=10 → 60..=70 frames, 11..=13 → 127..=129.
+        pick in 0usize..14,
         density in 0.05f64..0.5,
     ) {
+        let count = if pick <= 10 { 60 + pick } else { 116 + pick };
         let topology = [128, 64, 48, 10];
         let batch = random_frames(128, count, seed.wrapping_add(3), density);
         for cores in [1usize, 2, 4] {
-            exercise(&topology, seed, cores, &batch, PayloadMode::Blocks);
+            exercise(&topology, seed, cores, &batch);
         }
     }
 
-    /// Column-split plans (cores > layers) on multi-group widths, both
-    /// payloads: outputs must still match the plain system exactly.
+    /// Column-split plans (cores > layers) on multi-group widths: outputs
+    /// must still match the plain system exactly.
     #[test]
     fn column_split_plans_match_plain_outputs(
         seed in 0u64..10_000,
@@ -187,38 +194,73 @@ proptest! {
         // exercise ragged group tails and word-aligned reassembly.
         let topology = [128, 300, 10];
         let batch = random_frames(128, count, seed.wrapping_add(29), density);
-        for payload in [PayloadMode::Frames, PayloadMode::Blocks] {
-            exercise(&topology, seed, 4, &batch, payload);
-        }
+        exercise(&topology, seed, 4, &batch);
         // A 256-wide readout (two column groups) splits the *output* stage,
         // exercising sink-side membrane/spike reassembly across shards.
         let wide_readout = [64, 128, 256];
         let readout_batch = random_frames(64, count, seed.wrapping_add(31), density);
-        for payload in [PayloadMode::Frames, PayloadMode::Blocks] {
-            exercise(&wide_readout, seed, 4, &readout_batch, payload);
-        }
+        exercise(&wide_readout, seed, 4, &readout_batch);
     }
 }
 
 #[test]
-fn auto_payload_matches_forced_modes() {
+fn one_run_matches_one_frame_hand_offs() {
+    // `infer` sends its frame as a hand-off of its own; `run` packs the
+    // batch into multi-frame hand-offs. Results, tallies and every counter
+    // must not see the difference.
     let topology = [128, 96, 64, 10];
     let (model, config) = model_and_config(&topology, 23);
     let batch = random_frames(128, 100, 7, 0.3);
-    let mut auto = MeshSystem::from_model(&model, &config, &MeshConfig::with_cores(3)).unwrap();
-    let auto_results = auto.run(&batch).unwrap();
-    let mut forced = MeshSystem::from_model(
-        &model,
-        &config,
-        &MeshConfig::with_cores(3).payload(PayloadMode::Frames),
-    )
-    .unwrap();
-    let forced_results = forced.run(&batch).unwrap();
-    assert_eq!(auto_results, forced_results);
-    assert_eq!(auto.tally().tiles, forced.tally().tiles);
+    let mesh_config = MeshConfig::with_cores(3);
+    let mut batched = MeshSystem::from_model(&model, &config, &mesh_config).unwrap();
+    let batched_results = batched.run(&batch).unwrap();
+    let mut single = MeshSystem::from_model(&model, &config, &mesh_config).unwrap();
+    let single_results: Vec<_> = batch.iter().map(|f| single.infer(f).unwrap()).collect();
+    assert_eq!(batched_results, single_results);
     // The modeled NoC charges per frame either way, so the interconnect
     // tallies agree too.
-    assert_eq!(auto.tally(), forced.tally());
+    assert_eq!(batched.tally(), single.tally());
+    assert_eq!(mesh_tile_stats(&batched), mesh_tile_stats(&single));
+    assert_eq!(mesh_array_stats(&batched), mesh_array_stats(&single));
+}
+
+#[test]
+fn state_carrying_meshes_walk_each_hand_off_in_frame_order() {
+    // `OnFire` membranes carry from frame to frame, so a frame's result
+    // depends on the frames a tile saw before it; 6-bit registers clamp
+    // mid-frame. Both keep every tile on the cycle walk. A hand-off must
+    // walk its frames in order on every core.
+    let topology = [128, 64, 32, 10];
+    let neurons = [
+        NeuronConfig::new(12, 12, ResetPolicy::OnFire),
+        NeuronConfig::new(6, 12, ResetPolicy::EveryTimestep),
+    ];
+    let batch = random_frames(128, 100, 41, 0.3);
+    for neuron in neurons {
+        let net = BnnNetwork::new(&topology, 19).unwrap();
+        let model = SnnModel::from_bnn(&net).unwrap();
+        let config = SystemConfig::builder(BitcellKind::multiport(2).unwrap(), &topology)
+            .neuron(neuron)
+            .build()
+            .unwrap();
+        let mut plain = EsamSystem::from_model(&model, &config).unwrap();
+        let expected: Vec<_> = batch.iter().map(|f| plain.infer(f).unwrap()).collect();
+        for cores in [1usize, 2, 3] {
+            let label = format!("{neuron:?} cores={cores}");
+            let mut tallies = Vec::new();
+            for execution in [Execution::Sequential, Execution::Pipelined] {
+                let mesh_config = MeshConfig::with_cores(cores).execution(execution);
+                let mut mesh = MeshSystem::from_model(&model, &config, &mesh_config).unwrap();
+                let results = mesh.run(&batch).unwrap();
+                assert_eq!(results, expected, "{label} {execution:?}: results vs plain");
+                tallies.push(*mesh.tally());
+            }
+            assert_eq!(
+                tallies[0], tallies[1],
+                "{label}: pipelined vs sequential tally"
+            );
+        }
+    }
 }
 
 #[test]

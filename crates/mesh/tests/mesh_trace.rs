@@ -1,5 +1,5 @@
 //! The mesh observability contract: `run_traced` returns exactly what
-//! `run` (sequential, frame payloads) returns — results, tallies, every
+//! `run` (sequential) returns — results, tallies, every
 //! counter — plus a modeled-cycle timeline whose cycle-domain Chrome
 //! export is byte-identical across runs, with faults surfacing as
 //! deterministic instants.
@@ -9,8 +9,7 @@ use std::time::Duration;
 use esam_bits::BitVec;
 use esam_core::SystemConfig;
 use esam_mesh::{
-    Execution, FaultConfig, FaultPlan, MeshConfig, MeshSystem, PayloadMode, TimeDomain,
-    MESH_TRACE_PID,
+    Execution, FaultConfig, FaultPlan, MeshConfig, MeshSystem, TimeDomain, MESH_TRACE_PID,
 };
 use esam_nn::{BnnNetwork, SnnModel};
 use esam_sram::BitcellKind;
@@ -36,9 +35,7 @@ fn frames(width: usize, count: usize) -> Vec<BitVec> {
 }
 
 fn mesh_config(cores: usize) -> MeshConfig {
-    MeshConfig::with_cores(cores)
-        .execution(Execution::Sequential)
-        .payload(PayloadMode::Frames)
+    MeshConfig::with_cores(cores).execution(Execution::Sequential)
 }
 
 #[test]
