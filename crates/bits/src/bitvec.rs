@@ -131,6 +131,24 @@ impl BitVec {
         self.words.fill(0);
     }
 
+    /// Makes this an all-zero vector of `len` bits, keeping the word
+    /// storage: a scratch vector re-sized this way allocates only when it
+    /// grows past every length it held before.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use esam_bits::BitVec;
+    /// let mut v = BitVec::from_indices(128, &[3, 100]);
+    /// v.reset(4);
+    /// assert_eq!(v, BitVec::new(4));
+    /// ```
+    pub fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(WORD_BITS), 0);
+        self.len = len;
+    }
+
     /// Sets every bit to one.
     pub fn set_all(&mut self) {
         self.words.fill(u64::MAX);

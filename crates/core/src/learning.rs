@@ -22,7 +22,31 @@
 //! The functional trajectory is *cell-independent*: the same rule and seed
 //! produce bit-identical weights on multiport and 6T tiles — the cells
 //! differ only in what each update costs (the functional/cost split §4.4.1
-//! relies on, property-tested in `tests/learning_equivalence.rs`).
+//! relies on, property-tested in `tests/learning_equivalence.rs`, which
+//! also pins whole digit-stream trajectories to recorded constants).
+//!
+//! # Cost of an update on the host
+//!
+//! An update costs what its words cost:
+//!
+//! * per row group, the column is copied into an engine-owned buffer
+//!   ([`SramArray::transposed_read_into`]) and the rule updates it in place,
+//!   one 64-bit word at a time, drawing in ascending bit order;
+//! * the transposed write flips the row-major store only in the rows it
+//!   changes;
+//! * the before/after energy reads weigh the counters with per-access
+//!   energies each array evaluated once, at construction;
+//! * [`EsamSystem::learn_sample`] teaches from the frame that entered the
+//!   output tile, which the cascade walk keeps in the tile before it (the
+//!   input itself on a one-tile system), so no layer frame is cloned.
+//!
+//! The 6T baseline runs the same in-place update on a copy of its column
+//! view, then its counted per-row read-modify-write through
+//! [`SramArray::rowwise_read_into`] and [`SramArray::rowwise_write`].
+//!
+//! [`SramArray::transposed_read_into`]: esam_sram::SramArray::transposed_read_into
+//! [`SramArray::rowwise_read_into`]: esam_sram::SramArray::rowwise_read_into
+//! [`SramArray::rowwise_write`]: esam_sram::SramArray::rowwise_write
 
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
@@ -77,10 +101,19 @@ impl Sum for LearningCost {
 
 /// Online-learning engine: applies teacher-driven stochastic STDP updates to
 /// a tile's weight columns and accounts for the memory-access cost.
+///
+/// The engine owns the buffers an update works in, sized on first use, so
+/// a steady-state [`teach`](Self::teach) allocates nothing.
 #[derive(Debug, Clone)]
 pub struct OnlineLearningEngine {
     rule: StdpRule,
     rng: ChaCha8Rng,
+    /// One row group's slice of the pre-synaptic frame.
+    pre: BitVec,
+    /// One row group's weight column, updated in place.
+    column: BitVec,
+    /// One array row: the 6T baseline's read-modify-write buffer.
+    row: BitVec,
 }
 
 impl OnlineLearningEngine {
@@ -89,6 +122,9 @@ impl OnlineLearningEngine {
         Self {
             rule,
             rng: ChaCha8Rng::seed_from_u64(seed),
+            pre: BitVec::default(),
+            column: BitVec::default(),
+            row: BitVec::default(),
         }
     }
 
@@ -105,7 +141,10 @@ impl OnlineLearningEngine {
     /// transposed port; the 6T baseline falls back to row-wise
     /// read-modify-write of every row that must change (costed as the full
     /// `2 × rows` sweep the paper describes, since the row data must be read
-    /// to be merged).
+    /// to be merged). Both run the same word-level update
+    /// ([`StdpRule::update_column_in_place`]) on one row group's column at
+    /// a time, drawing in ascending row order, so the cells learn the same
+    /// bits.
     ///
     /// # Errors
     ///
@@ -150,28 +189,35 @@ impl OnlineLearningEngine {
             let rows = (tile.inputs() - offset).min(ARRAY_DIM);
             // Slice of the pre-synaptic frame feeding this block
             // (word-aligned extraction: `offset` is a multiple of 128).
-            let mut pre_slice = BitVec::new(rows);
-            pre_slice.or_window_of(pre_spikes, offset);
+            self.pre.reset(rows);
+            self.pre.or_window_of(pre_spikes, offset);
+            self.column.reset(rows);
             let array = tile.array_mut(rg, col_group);
+            // Both cells update the column in one buffer: multiport reads it
+            // through the transposed port, the 6T baseline copies its column
+            // view and pays for the row-wise RMW below.
             if transposable {
-                let column = array.transposed_read(local_col)?;
-                let (updated, flips) =
-                    self.rule
-                        .update_column(&column, &pre_slice, signal, &mut self.rng);
-                array.transposed_write(local_col, &updated)?;
-                bits_flipped += flips;
+                array.transposed_read_into(local_col, &mut self.column)?;
+            } else {
+                self.column
+                    .words_mut()
+                    .copy_from_slice(array.column_words(local_col));
+            }
+            bits_flipped += self.rule.update_column_in_place(
+                &mut self.column,
+                &self.pre,
+                signal,
+                &mut self.rng,
+            )?;
+            if transposable {
+                array.transposed_write(local_col, &self.column)?;
             } else {
                 // 6T baseline: RMW every row of the block (§4.4.1's 2×128).
+                self.row.reset(array.config().cols());
                 for row in 0..rows {
-                    let mut row_bits = array.rowwise_read(row)?;
-                    let current = BitVec::from_bools(&[row_bits.get(local_col)]);
-                    let pre = BitVec::from_bools(&[pre_slice.get(row)]);
-                    let (updated, flips) =
-                        self.rule
-                            .update_column(&current, &pre, signal, &mut self.rng);
-                    row_bits.set(local_col, updated.get(0));
-                    array.rowwise_write(row, &row_bits)?;
-                    bits_flipped += flips;
+                    array.rowwise_read_into(row, &mut self.row)?;
+                    self.row.set(local_col, self.column.get(row));
+                    array.rowwise_write(row, &self.row)?;
                 }
             }
         }
@@ -197,7 +243,9 @@ impl OnlineLearningEngine {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`teach`](Self::teach).
+    /// Returns [`CoreError::InvalidConfig`] when `layer` is not a tile of
+    /// the system, before any state changes; otherwise the conditions of
+    /// [`teach`](Self::teach).
     pub fn teach_system(
         &mut self,
         system: &mut EsamSystem,
@@ -206,6 +254,12 @@ impl OnlineLearningEngine {
         neuron: usize,
         signal: TeacherSignal,
     ) -> Result<LearningCost, CoreError> {
+        let tiles = system.tiles().len();
+        if layer >= tiles {
+            return Err(CoreError::InvalidConfig(format!(
+                "layer {layer} out of range for a {tiles}-tile system"
+            )));
+        }
         let clock = system.pipeline().clock_period();
         self.teach(system.tile_mut(layer), clock, pre_spikes, neuron, signal)
     }
@@ -630,6 +684,29 @@ mod tests {
             curve.points().last().unwrap().correct,
             session.tally().correct
         );
+    }
+
+    #[test]
+    fn teach_system_rejects_an_out_of_range_layer() {
+        let net = esam_nn::BnnNetwork::new(&[128, 10], 3).unwrap();
+        let model = esam_nn::SnnModel::from_bnn(&net).unwrap();
+        let config = SystemConfig::builder(BitcellKind::multiport(4).unwrap(), &[128, 10])
+            .build()
+            .unwrap();
+        let mut system = EsamSystem::from_model(&model, &config).unwrap();
+        let before = system.tiles()[0].weight_column(0);
+        let mut engine = OnlineLearningEngine::new(StdpRule::new(1.0, 1.0), 5);
+        let pre = BitVec::from_indices(128, &[1, 2, 3]);
+        let result = engine.teach_system(&mut system, 1, &pre, 0, TeacherSignal::ShouldFire);
+        match result {
+            Err(CoreError::InvalidConfig(message)) => {
+                assert!(message.contains("layer 1"), "{message}");
+                assert!(message.contains("1-tile"), "{message}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        assert_eq!(system.tiles()[0].weight_column(0), before);
+        assert_eq!(system.tiles()[0].arrays()[0].stats().rw_read_cycles, 0);
     }
 
     #[test]

@@ -28,9 +28,9 @@ use crate::tile::Tile;
 ///
 /// Deliberately *does not* carry the inter-tile spike frames: cloning every
 /// frame per inference is a per-request allocation the serving/batch hot
-/// path must not pay. Callers that need the frames (tests, the learning
-/// teacher derivation) use [`EsamSystem::infer_traced`], which returns a
-/// [`TracedInference`] wrapping this result.
+/// path must not pay. Callers that need the frames (tests, examples) use
+/// [`EsamSystem::infer_traced`], which returns a [`TracedInference`]
+/// wrapping this result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferenceResult {
     /// Predicted class (argmax of the readout logits).
@@ -254,8 +254,8 @@ impl EsamSystem {
     ///
     /// The inference outcome is bit-identical to [`infer`](Self::infer) on
     /// the same frame; only the trace capture (one clone per inter-tile
-    /// frame) is added. Online learning and equivalence tests live here;
-    /// the serving path never pays for it.
+    /// frame) is added. Equivalence tests and examples live here; the
+    /// serving and learning paths never pay for it.
     ///
     /// # Errors
     ///
@@ -533,6 +533,12 @@ impl EsamSystem {
     /// so multiport and 6T systems taught identically stay bit-identical in
     /// weights and differ only in [`SampleOutcome::cost`].
     ///
+    /// In steady state (the engine's buffers sized, the weights not shared
+    /// with a clone) a sample allocates [`infer`](Self::infer)'s result and
+    /// the teacher-signal list when it is non-empty, nothing else: the
+    /// output spikes become the observed frame, and the pre-synaptic frame
+    /// is read where the cascade walk keeps it.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an out-of-range label and
@@ -549,26 +555,34 @@ impl EsamSystem {
                 "label {label} out of range for {classes} output classes"
             )));
         }
-        let traced = self.infer_traced(frame)?;
-        let result = traced.result;
-        let mut observed = result.output_spikes.clone();
-        observed.set(result.prediction, true);
+        let result = self.infer(frame)?;
+        let prediction = result.prediction;
+        let bottleneck_cycles = result.bottleneck_cycles();
+        let total_cycles = result.total_cycles();
+        let mut observed = result.output_spikes;
+        observed.set(prediction, true);
         let signals = derive_teacher_signals(&observed, label);
-        let layer = self.tiles.len() - 1;
-        let pre_spikes = &traced.layer_inputs[layer];
+        // The output tile learns from the frame that entered it: the one the
+        // tile before it fired last, which the walk keeps there, or the
+        // input itself on a one-tile system.
         let clock = self.pipeline.clock_period();
+        let (output, upstream) = self
+            .tiles
+            .split_last_mut()
+            .expect("a successful inference walked at least one tile");
+        let pre_spikes = upstream.last().map_or(frame, Tile::fired);
         let mut cost = LearningCost::default();
         for &(neuron, signal) in &signals {
-            cost += engine.teach(&mut self.tiles[layer], clock, pre_spikes, neuron, signal)?;
+            cost += engine.teach(output, clock, pre_spikes, neuron, signal)?;
         }
         Ok(SampleOutcome {
-            prediction: result.prediction,
+            prediction,
             label,
-            correct: result.prediction == label,
+            correct: prediction == label,
             updates: signals.len(),
             cost,
-            bottleneck_cycles: result.bottleneck_cycles(),
-            total_cycles: result.total_cycles(),
+            bottleneck_cycles,
+            total_cycles,
         })
     }
 

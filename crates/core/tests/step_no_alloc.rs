@@ -3,6 +3,10 @@
 //! and neither the drain loop of [`Tile::step`], the closed-form
 //! [`Tile::step_frame`] nor a [`walk_frame`] over an eligible cascade may
 //! advance the counter; [`EsamSystem::infer`] allocates its result alone.
+//! Online learning keeps the same contract: a steady-state
+//! [`OnlineLearningEngine::teach`] allocates nothing, and
+//! [`EsamSystem::learn_sample`] only `infer`'s result plus its
+//! teacher-signal list.
 //!
 //! The counter is thread-local so the measurement cannot be polluted by
 //! allocator traffic from other test threads; this file holds only
@@ -13,8 +17,8 @@ use std::cell::Cell;
 
 use esam_bits::{BitVec, FrameBlock};
 use esam_core::cascade::walk_frame;
-use esam_core::{EsamSystem, SystemConfig, Tile};
-use esam_nn::{BnnNetwork, SnnModel};
+use esam_core::{EsamSystem, OnlineLearningEngine, SystemConfig, Tile};
+use esam_nn::{BnnNetwork, SnnModel, StdpRule, TeacherSignal};
 use esam_sram::BitcellKind;
 
 thread_local! {
@@ -373,4 +377,75 @@ fn inject_and_idle_step_are_allocation_free() {
         0,
         "inject + drain + idle step must not allocate"
     );
+}
+
+/// The learning cells: the 6T baseline (row-wise RMW) and 4R (transposed).
+fn learning_cells() -> [BitcellKind; 2] {
+    [BitcellKind::Std6T, BitcellKind::multiport(4).unwrap()]
+}
+
+#[test]
+fn steady_state_teach_is_allocation_free() {
+    // Ragged in both directions: 260 inputs leave a 4-row last row group,
+    // and neuron 129 sits in a 2-column last column group. Once the first
+    // update has sized the engine's buffers, an update of any row group
+    // reuses them.
+    for cell in learning_cells() {
+        let config = SystemConfig::builder(cell, &[260, 130]).build().unwrap();
+        let mut tile = Tile::new(260, 130, &config).unwrap();
+        let clock = esam_core::PipelineTiming::analyze(&config)
+            .unwrap()
+            .clock_period();
+        let mut engine = OnlineLearningEngine::new(StdpRule::new(0.4, 0.3), 9);
+        let frame = dense_frame(260);
+        engine
+            .teach(&mut tile, clock, &frame, 129, TeacherSignal::ShouldFire)
+            .unwrap();
+
+        let before = allocations();
+        let mut flipped = 0;
+        for (neuron, signal) in [
+            (129, TeacherSignal::ShouldNotFire),
+            (3, TeacherSignal::ShouldFire),
+            (64, TeacherSignal::ShouldNotFire),
+        ] {
+            flipped += engine
+                .teach(&mut tile, clock, &frame, neuron, signal)
+                .unwrap()
+                .bits_flipped;
+        }
+        let after = allocations();
+        assert_eq!(after - before, 0, "{cell}: teach must not touch the heap");
+        assert!(flipped > 0, "{cell}: the updates changed weights");
+    }
+}
+
+#[test]
+fn steady_state_learn_sample_allocates_infer_and_the_signals() {
+    // The 768:10 readout the benchmark learns on: `infer`'s four result
+    // buffers plus the teacher-signal list are all a sample allocates.
+    for cell in learning_cells() {
+        let topology = [768, 10];
+        let model = SnnModel::from_bnn(&BnnNetwork::new(&topology, 3).unwrap()).unwrap();
+        let config = SystemConfig::builder(cell, &topology).build().unwrap();
+        let mut system = EsamSystem::from_model(&model, &config).unwrap();
+        let mut engine = OnlineLearningEngine::new(StdpRule::new(0.4, 0.02), 7);
+        let frame = dense_frame(768);
+        // A wrong label teaches, which sizes the engine's buffers.
+        let wrong = |system: &mut EsamSystem| (system.infer(&frame).unwrap().prediction + 1) % 10;
+        let label = wrong(&mut system);
+        let warm = system.learn_sample(&mut engine, &frame, label).unwrap();
+        assert!(warm.updates > 0, "{cell}: the warm-up sample taught");
+
+        let label = wrong(&mut system);
+        let before = allocations();
+        let outcome = system.learn_sample(&mut engine, &frame, label).unwrap();
+        let after = allocations();
+        assert!(outcome.updates > 0, "{cell}: the measured sample taught");
+        assert!(
+            after - before <= 5,
+            "{cell}: {} allocations, want at most infer's 4 plus the signal list",
+            after - before
+        );
+    }
 }

@@ -12,9 +12,18 @@
 //! A supervised teacher wrapper is included for the digit-adaptation
 //! experiments: potentiate toward a neuron that should have fired, depress
 //! one that fired spuriously.
+//!
+//! The update runs a word at a time
+//! ([`StdpRule::update_column_in_place`]): it XORs the column with its
+//! target to get the mismatch mask, then walks the set bits of that mask in
+//! ascending order, drawing once per mismatched synapse. The draws come in
+//! bit order, so the update spends the RNG stream exactly as a per-bit walk
+//! does; that walk stays in the tests as the reference pinning it.
 
 use esam_bits::BitVec;
 use rand::{Rng, RngExt};
+
+use crate::error::NnError;
 
 /// Direction of a column update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,7 +80,8 @@ impl StdpRule {
     /// neuron), `pre_spikes` the input frame that triggered learning.
     /// Returns the new column and the number of flipped bits. The caller is
     /// responsible for the transposed read/write that realizes the update in
-    /// SRAM (`esam-core`'s learning engine counts those accesses).
+    /// SRAM (`esam-core`'s learning engine counts those accesses). This is
+    /// [`update_column_in_place`](Self::update_column_in_place) on a copy.
     ///
     /// # Panics
     ///
@@ -83,42 +93,82 @@ impl StdpRule {
         signal: TeacherSignal,
         rng: &mut R,
     ) -> (BitVec, usize) {
-        assert_eq!(
-            column.len(),
-            pre_spikes.len(),
-            "weight column and spike frame must have the same width"
-        );
         let mut updated = column.clone();
-        let mut flips = 0;
-        for i in 0..column.len() {
-            let pre_active = pre_spikes.get(i);
-            let bit = column.get(i);
-            let (target, probability) = match signal {
-                // Strengthen the synapses that could make the neuron fire:
-                // active inputs toward 1, inactive toward 0 (they pull −1).
-                TeacherSignal::ShouldFire => {
-                    if pre_active {
-                        (true, self.p_potentiation)
-                    } else {
-                        (false, self.p_depression)
-                    }
-                }
-                // Weaken the evidence that made it fire: active inputs
-                // toward 0; inactive inputs toward 1 (more −1 drive).
-                TeacherSignal::ShouldNotFire => {
-                    if pre_active {
-                        (false, self.p_potentiation)
-                    } else {
-                        (true, self.p_depression)
-                    }
-                }
-            };
-            if bit != target && rng.random_bool(probability) {
-                updated.set(i, target);
-                flips += 1;
-            }
-        }
+        let flips = self
+            .update_column_in_place(&mut updated, pre_spikes, signal, rng)
+            .expect("weight column and spike frame must have the same width");
         (updated, flips)
+    }
+
+    /// Applies the update to `column` in place and returns the number of
+    /// flipped bits — the word-level walk behind
+    /// [`update_column`](Self::update_column).
+    ///
+    /// Each synapse moves toward a target: under
+    /// [`TeacherSignal::ShouldFire`] the target is the input frame itself
+    /// (active inputs toward 1, inactive toward 0, since they pull −1);
+    /// under [`TeacherSignal::ShouldNotFire`] it is the frame's complement
+    /// (active inputs toward 0, inactive toward 1 for more −1 drive). Per
+    /// 64-bit word the mismatch mask is the column XOR the target. Its set
+    /// bits are walked in ascending order (`trailing_zeros`), each drawing
+    /// one `random_bool`: `p_potentiation` where the input spiked and
+    /// `p_depression` elsewhere. The accepted flips are XORed into the word.
+    ///
+    /// Bits already at their target draw nothing, and every mismatched bit
+    /// draws once, in ascending bit order: the RNG stream — and with it every
+    /// learned weight — is a function of the column, the frame, the signal
+    /// and the seed alone.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::DimensionMismatch`] when the column and spike-frame widths
+    /// differ; the column and the RNG are then untouched.
+    pub fn update_column_in_place<R: Rng + ?Sized>(
+        &self,
+        column: &mut BitVec,
+        pre_spikes: &BitVec,
+        signal: TeacherSignal,
+        rng: &mut R,
+    ) -> Result<usize, NnError> {
+        if column.len() != pre_spikes.len() {
+            return Err(NnError::DimensionMismatch {
+                expected: pre_spikes.len(),
+                got: column.len(),
+            });
+        }
+        let len = column.len();
+        let mut flips = 0;
+        for (index, (word, &pre)) in column
+            .words_mut()
+            .iter_mut()
+            .zip(pre_spikes.words())
+            .enumerate()
+        {
+            // The complement must not reach past the width: tail bits stay 0.
+            let width = (len - index * BitVec::WORD_BITS).min(BitVec::WORD_BITS);
+            let valid = u64::MAX >> (BitVec::WORD_BITS - width);
+            let target = match signal {
+                TeacherSignal::ShouldFire => pre,
+                TeacherSignal::ShouldNotFire => !pre & valid,
+            };
+            let mut mismatch = *word ^ target;
+            let mut accepted = 0u64;
+            while mismatch != 0 {
+                let bit = mismatch & mismatch.wrapping_neg();
+                let probability = if pre & bit != 0 {
+                    self.p_potentiation
+                } else {
+                    self.p_depression
+                };
+                if rng.random_bool(probability) {
+                    accepted |= bit;
+                }
+                mismatch ^= bit;
+            }
+            *word ^= accepted;
+            flips += accepted.count_ones() as usize;
+        }
+        Ok(flips)
     }
 }
 
@@ -166,11 +216,127 @@ pub fn derive_teacher_signals(observed: &BitVec, label: usize) -> Vec<(usize, Te
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// The per-bit walk the word-level update replaced — a `get`, a `match`
+    /// and a `set` per synapse — kept as the reference it is pinned to.
+    fn reference_update(
+        rule: &StdpRule,
+        column: &BitVec,
+        pre_spikes: &BitVec,
+        signal: TeacherSignal,
+        rng: &mut ChaCha8Rng,
+    ) -> (BitVec, usize) {
+        let mut updated = column.clone();
+        let mut flips = 0;
+        for i in 0..column.len() {
+            let pre_active = pre_spikes.get(i);
+            let bit = column.get(i);
+            let (target, probability) = match signal {
+                TeacherSignal::ShouldFire => {
+                    if pre_active {
+                        (true, rule.p_potentiation)
+                    } else {
+                        (false, rule.p_depression)
+                    }
+                }
+                TeacherSignal::ShouldNotFire => {
+                    if pre_active {
+                        (false, rule.p_potentiation)
+                    } else {
+                        (true, rule.p_depression)
+                    }
+                }
+            };
+            if bit != target && rng.random_bool(probability) {
+                updated.set(i, target);
+                flips += 1;
+            }
+        }
+        (updated, flips)
+    }
+
+    /// Widths at and around the word boundaries.
+    const EDGE_WIDTHS: [usize; 7] = [1, 63, 64, 65, 127, 128, 129];
+
+    /// A probability drawn as 0, 1 or the random `p`.
+    fn probability(pick: u8, p: f64) -> f64 {
+        match pick {
+            0 => 0.0,
+            1 => 1.0,
+            _ => p,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn word_update_matches_the_per_bit_reference(
+            width_pick in 0usize..14,
+            random_width in 1usize..=300,
+            column_bits in proptest::collection::vec(any::<bool>(), 300),
+            pre_bits in proptest::collection::vec(any::<bool>(), 300),
+            should_fire in any::<bool>(),
+            picks in (0u8..3, 0u8..3),
+            p in (0.0f64..1.0, 0.0f64..1.0),
+            seed in any::<u64>(),
+        ) {
+            let width = EDGE_WIDTHS.get(width_pick).copied().unwrap_or(random_width);
+            let column = BitVec::from_bools(&column_bits[..width]);
+            let pre = BitVec::from_bools(&pre_bits[..width]);
+            let signal = if should_fire {
+                TeacherSignal::ShouldFire
+            } else {
+                TeacherSignal::ShouldNotFire
+            };
+            let rule = StdpRule::new(probability(picks.0, p.0), probability(picks.1, p.1));
+
+            let mut reference_rng = rng(seed);
+            let (expected, expected_flips) =
+                reference_update(&rule, &column, &pre, signal, &mut reference_rng);
+            let mut word_rng = rng(seed);
+            let mut updated = column.clone();
+            let flips = rule
+                .update_column_in_place(&mut updated, &pre, signal, &mut word_rng)
+                .unwrap();
+
+            prop_assert_eq!(&updated, &expected, "width {}", width);
+            prop_assert_eq!(flips, expected_flips);
+            prop_assert_eq!(
+                word_rng.next_u64(),
+                reference_rng.next_u64(),
+                "both walks leave the stream at the same position"
+            );
+        }
+    }
+
+    #[test]
+    fn in_place_update_rejects_a_width_mismatch_untouched() {
+        let rule = StdpRule::new(1.0, 1.0);
+        let mut column = BitVec::from_indices(4, &[1]);
+        let mut stream = rng(1);
+        let result = rule.update_column_in_place(
+            &mut column,
+            &BitVec::new(5),
+            TeacherSignal::ShouldFire,
+            &mut stream,
+        );
+        assert_eq!(
+            result,
+            Err(NnError::DimensionMismatch {
+                expected: 5,
+                got: 4
+            })
+        );
+        assert_eq!(column, BitVec::from_indices(4, &[1]));
+        assert_eq!(stream.next_u64(), rng(1).next_u64(), "no draw was spent");
     }
 
     #[test]

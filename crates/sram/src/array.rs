@@ -18,7 +18,20 @@
 //! `esam-core` consume it. Every mutator (bulk load, bit flip, scrub heal
 //! and reload, transposed and row-wise writes) updates both copies in the
 //! same call, and both stores are private, so the view is coherent by
-//! construction.
+//! construction. A transposed write copies the new column into the view
+//! and flips the row-major store only in the rows whose bit changed; a row
+//! write does the same the other way round.
+//!
+//! # Learning accesses
+//!
+//! The transposed and row-wise reads come in two forms. One returns a
+//! fresh [`BitVec`]; the `_into` form copies words into a buffer the caller
+//! owns, so the online-learning engine reads and writes columns without
+//! allocating. Energy reconstruction weighs the counters with four
+//! per-access energies. They are evaluated once, when the array is built,
+//! since they depend on the configuration alone. A geometry past the NBL
+//! write-margin limit keeps its error and reports it only when a write
+//! cycle is costed.
 
 use esam_bits::{BitMatrix, BitVec};
 
@@ -86,19 +99,49 @@ pub struct SramArray {
     columns: BitMatrix,
     stats: AccessStats,
     ecc: Option<EccState>,
+    /// The per-access energies of `config`, evaluated once.
+    energies: AccessEnergies,
+}
+
+/// The four per-access energy factors of one array configuration — the
+/// constants [`SramArray::energy_for_stats`] weighs the counters with,
+/// taken from [`EnergyAnalysis`] when the array is built.
+#[derive(Debug, Clone)]
+struct AccessEnergies {
+    inference_read_fixed: Joules,
+    inference_read_per_zero: Joules,
+    rw_read_cycle: Joules,
+    /// The NBL write-margin verdict rides along: a geometry past the limit
+    /// can still be read, and fails only once a write cycle is costed.
+    rw_write_cycle: Result<Joules, SramError>,
+}
+
+impl AccessEnergies {
+    fn new(energy: &EnergyAnalysis) -> Self {
+        Self {
+            inference_read_fixed: energy.inference_read_fixed(),
+            inference_read_per_zero: energy.inference_read_per_zero(),
+            rw_read_cycle: energy.rw_read_cycle(),
+            rw_write_cycle: energy.rw_write_cycle(),
+        }
+    }
 }
 
 impl SramArray {
-    /// Creates an array with all-zero content.
+    /// Creates an array with all-zero content. Evaluates the
+    /// configuration's per-access energies once, here (see
+    /// [`energy_for_stats`](Self::energy_for_stats)).
     pub fn new(config: ArrayConfig) -> Self {
         let bits = BitMatrix::new(config.rows(), config.cols());
         let columns = BitMatrix::new(config.cols(), config.rows());
+        let energies = AccessEnergies::new(&EnergyAnalysis::new(&config));
         Self {
             config,
             bits,
             columns,
             stats: AccessStats::default(),
             ecc: None,
+            energies,
         }
     }
 
@@ -414,13 +457,31 @@ impl SramArray {
     /// Reads a full weight column through the transposed port.
     ///
     /// Costs `mux_ratio` RW-port cycles (4 in the paper: §4.4.1's `2 × 4`
-    /// counts 4 read + 4 write cycles per column update).
+    /// counts 4 read + 4 write cycles per column update). Allocates the
+    /// column; [`transposed_read_into`](Self::transposed_read_into) is the
+    /// same read into caller-owned scratch.
     ///
     /// # Errors
     ///
     /// [`SramError::NotTransposable`] on the 6T baseline,
     /// [`SramError::ColOutOfRange`] for bad addresses.
     pub fn transposed_read(&mut self, col: usize) -> Result<BitVec, SramError> {
+        let mut column = BitVec::new(self.config.rows());
+        self.transposed_read_into(col, &mut column)?;
+        Ok(column)
+    }
+
+    /// Reads a full weight column through the transposed port into `dst`:
+    /// a word copy of the column view, with the checks and the
+    /// `mux_ratio`-cycle count of [`transposed_read`](Self::transposed_read).
+    ///
+    /// # Errors
+    ///
+    /// [`SramError::NotTransposable`] on the 6T baseline,
+    /// [`SramError::ColOutOfRange`] for bad addresses and
+    /// [`SramError::DimensionMismatch`] when `dst.len()` is not the row
+    /// count; nothing is counted then.
+    pub fn transposed_read_into(&mut self, col: usize, dst: &mut BitVec) -> Result<(), SramError> {
         self.require_transposable()?;
         if col >= self.config.cols() {
             return Err(SramError::ColOutOfRange {
@@ -428,12 +489,23 @@ impl SramArray {
                 cols: self.config.cols(),
             });
         }
+        if dst.len() != self.config.rows() {
+            return Err(SramError::DimensionMismatch {
+                expected: self.config.rows(),
+                got: dst.len(),
+            });
+        }
+        dst.words_mut().copy_from_slice(self.columns.row_words(col));
         self.stats.rw_read_cycles += self.config.mux_ratio() as u64;
-        Ok(self.columns.row(col))
+        Ok(())
     }
 
     /// Writes a full weight column through the transposed port
     /// (`mux_ratio` NBL-assisted cycles).
+    ///
+    /// The column view takes the new column as a word copy; the row-major
+    /// store changes only in the rows whose bit differs (the old and new
+    /// column words XORed, the difference walked with `trailing_zeros`).
     ///
     /// # Errors
     ///
@@ -453,7 +525,12 @@ impl SramArray {
                 got: bits.len(),
             });
         }
-        self.bits.set_column(col, bits);
+        flip_differences(
+            &mut self.bits,
+            col,
+            self.columns.row_words(col),
+            bits.words(),
+        );
         self.columns.set_row(col, bits);
         if let Some(ecc) = &mut self.ecc {
             // A column write touches one bit of every row: re-encode all
@@ -465,13 +542,29 @@ impl SramArray {
     }
 
     /// Reads one row through the RW port — the 6T baseline's only way to
-    /// access weights for learning (one cycle per row, §4.4.1).
+    /// access weights for learning (one cycle per row, §4.4.1). Allocates
+    /// the row; [`rowwise_read_into`](Self::rowwise_read_into) is the same
+    /// read into caller-owned scratch.
     ///
     /// # Errors
     ///
     /// [`SramError::RowOutOfRange`]; also fails on multiport cells, whose RW
     /// port is column-oriented.
     pub fn rowwise_read(&mut self, row: usize) -> Result<BitVec, SramError> {
+        let mut bits = BitVec::new(self.config.cols());
+        self.rowwise_read_into(row, &mut bits)?;
+        Ok(bits)
+    }
+
+    /// Reads one row through the RW port into `dst`, with the checks and
+    /// the one-cycle count of [`rowwise_read`](Self::rowwise_read).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`rowwise_read`](Self::rowwise_read), plus
+    /// [`SramError::DimensionMismatch`] when `dst.len()` is not the column
+    /// count; nothing is counted then.
+    pub fn rowwise_read_into(&mut self, row: usize, dst: &mut BitVec) -> Result<(), SramError> {
         if self.config.cell().is_transposable() {
             return Err(SramError::InvalidConfig(
                 "row-wise RW access applies to the standard-orientation 6T baseline".into(),
@@ -483,8 +576,15 @@ impl SramArray {
                 rows: self.config.rows(),
             });
         }
+        if dst.len() != self.config.cols() {
+            return Err(SramError::DimensionMismatch {
+                expected: self.config.cols(),
+                got: dst.len(),
+            });
+        }
+        self.bits.copy_row_into(row, dst);
         self.stats.rw_read_cycles += 1;
-        Ok(self.bits.row(row))
+        Ok(())
     }
 
     /// Writes one row through the RW port (6T baseline learning path).
@@ -544,23 +644,29 @@ impl SramArray {
     ///
     /// Propagates write-margin violations from the write-energy model.
     pub fn energy_for_stats(&self, stats: &AccessStats) -> Result<Joules, SramError> {
-        let energy = self.energy();
+        let energy = &self.energies;
         let write = if stats.rw_write_cycles > 0 {
-            energy.rw_write_cycle()? * stats.rw_write_cycles as f64
+            energy.rw_write_cycle.clone()? * stats.rw_write_cycles as f64
         } else {
             Joules::ZERO
         };
-        Ok(energy.inference_read_fixed() * stats.inference_reads as f64
-            + energy.inference_read_per_zero() * stats.inference_zero_bits as f64
-            + energy.rw_read_cycle() * stats.rw_read_cycles as f64
+        Ok(energy.inference_read_fixed * stats.inference_reads as f64
+            + energy.inference_read_per_zero * stats.inference_zero_bits as f64
+            + energy.rw_read_cycle * stats.rw_read_cycles as f64
             + write)
     }
 
     /// Writes row `row` into both stores and re-encodes its codeword — the
-    /// row writer behind row-wise writes and scrub reloads.
+    /// row writer behind row-wise writes and scrub reloads. The column view
+    /// changes only in the columns whose bit differs.
     fn write_row(&mut self, row: usize, bits: &BitVec) {
+        flip_differences(
+            &mut self.columns,
+            row,
+            self.bits.row_words(row),
+            bits.words(),
+        );
         self.bits.set_row(row, bits);
-        self.columns.set_column(row, bits);
         if let Some(ecc) = &mut self.ecc {
             ecc.refresh_row(row, self.bits.row_words(row));
         }
@@ -578,6 +684,23 @@ impl SramArray {
             Ok(())
         } else {
             Err(SramError::NotTransposable)
+        }
+    }
+}
+
+/// Brings line `line` of the other store in step with a write: where the
+/// `old` and `new` words of the written line differ at bit `k`, flips
+/// `store`'s bit (`k`, `line`). A written column thus touches only the rows
+/// it changes, and a written row only the columns it changes.
+fn flip_differences(store: &mut BitMatrix, line: usize, old: &[u64], new: &[u64]) {
+    for (index, (&before, &after)) in old.iter().zip(new).enumerate() {
+        let mut diff = before ^ after;
+        while diff != 0 {
+            store.flip(
+                index * BitVec::WORD_BITS + diff.trailing_zeros() as usize,
+                line,
+            );
+            diff &= diff - 1;
         }
     }
 }
@@ -915,6 +1038,102 @@ mod tests {
         assert!(e2 > e1);
         a.reset_stats();
         assert!(a.consumed_energy().unwrap().is_zero());
+    }
+
+    #[test]
+    fn write_margin_fails_only_a_costed_write() {
+        // 256 cells on a write bitline violate the −400 mV yield rule.
+        let config =
+            ArrayConfig::builder(256, 256, BitcellKind::multiport(4).unwrap()).build_unchecked();
+        assert!(matches!(
+            config.write_assist(),
+            Err(SramError::WriteMargin(_))
+        ));
+        let a = SramArray::new(config);
+        let reads = AccessStats {
+            inference_reads: 3,
+            inference_zero_bits: 40,
+            rw_read_cycles: 8,
+            rw_write_cycles: 0,
+        };
+        assert!(a.energy_for_stats(&reads).unwrap().fj() > 0.0);
+        let writes = AccessStats {
+            rw_write_cycles: 4,
+            ..reads
+        };
+        assert!(matches!(
+            a.energy_for_stats(&writes),
+            Err(SramError::WriteMargin(_))
+        ));
+    }
+
+    #[test]
+    fn into_reads_match_the_allocating_reads() {
+        // Ragged 124×100 blocks: both reads end in a partial word.
+        let weights = BitMatrix::from_fn(124, 100, |r, c| (r * 7 + c * 3) % 5 < 2);
+        let ragged = |cell| {
+            let mut a = SramArray::new(ArrayConfig::builder(124, 100, cell).build().unwrap());
+            a.load_weights(&weights).unwrap();
+            a
+        };
+
+        let mut into = ragged(BitcellKind::multiport(4).unwrap());
+        let mut allocating = into.clone();
+        let mut column = BitVec::new(124);
+        for col in [0usize, 1, 63, 64, 99] {
+            into.transposed_read_into(col, &mut column).unwrap();
+            assert_eq!(
+                column,
+                allocating.transposed_read(col).unwrap(),
+                "column {col}"
+            );
+        }
+        assert_eq!(into.stats(), allocating.stats());
+        assert!(matches!(
+            into.transposed_read_into(0, &mut BitVec::new(100)),
+            Err(SramError::DimensionMismatch {
+                expected: 124,
+                got: 100
+            })
+        ));
+        assert!(matches!(
+            into.transposed_read_into(100, &mut column),
+            Err(SramError::ColOutOfRange { .. })
+        ));
+        assert_eq!(
+            into.stats(),
+            allocating.stats(),
+            "rejected reads count nothing"
+        );
+
+        let mut into = ragged(BitcellKind::Std6T);
+        let mut allocating = into.clone();
+        let mut row = BitVec::new(100);
+        for r in [0usize, 1, 63, 64, 123] {
+            into.rowwise_read_into(r, &mut row).unwrap();
+            assert_eq!(row, allocating.rowwise_read(r).unwrap(), "row {r}");
+        }
+        assert_eq!(into.stats(), allocating.stats());
+        assert!(matches!(
+            into.rowwise_read_into(0, &mut BitVec::new(124)),
+            Err(SramError::DimensionMismatch {
+                expected: 100,
+                got: 124
+            })
+        ));
+        assert!(matches!(
+            into.rowwise_read_into(124, &mut row),
+            Err(SramError::RowOutOfRange { .. })
+        ));
+        assert!(into.transposed_read_into(0, &mut column).is_err());
+        assert!(ragged(BitcellKind::multiport(2).unwrap())
+            .rowwise_read_into(0, &mut row)
+            .is_err());
+        assert_eq!(
+            into.stats(),
+            allocating.stats(),
+            "rejected reads count nothing"
+        );
     }
 
     #[test]

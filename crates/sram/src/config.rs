@@ -204,6 +204,13 @@ impl ArrayConfigBuilder {
         self.config.validate()?;
         Ok(self.config)
     }
+
+    /// The configuration without validation, so the crate's tests can
+    /// build an array past the NBL write-margin limit.
+    #[cfg(test)]
+    pub(crate) fn build_unchecked(self) -> ArrayConfig {
+        self.config
+    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //! access, and physical-model monotonicities.
 
 use esam_bits::{BitMatrix, BitVec};
+use esam_sram::AccessStats;
 use esam_sram::{
     ArrayConfig, BitcellKind, EnergyAnalysis, IntegrityMode, IntegrityTally, SramArray,
     TimingAnalysis,
 };
-use esam_tech::units::Volts;
+use esam_tech::units::{Joules, Volts};
 use proptest::prelude::*;
 
 fn weights(rows: usize, cols: usize) -> impl Strategy<Value = BitMatrix> {
@@ -150,6 +151,42 @@ proptest! {
         let expected = EnergyAnalysis::new(array.config()).inference_read(zeros);
         let consumed = array.consumed_energy().unwrap();
         prop_assert!((consumed.fj() - expected.fj()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cached_energies_match_a_fresh_analysis(
+        rail_mv in 320.0f64..700.0,
+        counts in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        writes in any::<bool>(),
+    ) {
+        // The array evaluates its per-access energies once; every
+        // reconstruction must keep the bits of the expression evaluated on
+        // a fresh analysis.
+        let stats = AccessStats {
+            inference_reads: u64::from(counts.0),
+            inference_zero_bits: u64::from(counts.1),
+            rw_read_cycles: u64::from(counts.2),
+            rw_write_cycles: if writes { u64::from(counts.3) } else { 0 },
+        };
+        for cell in BitcellKind::ALL {
+            let config = ArrayConfig::builder(128, 128, cell)
+                .vprech(Volts::from_mv(rail_mv))
+                .build()
+                .unwrap();
+            let array = SramArray::new(config);
+            let energy = EnergyAnalysis::new(array.config());
+            let write = if stats.rw_write_cycles > 0 {
+                energy.rw_write_cycle().unwrap() * stats.rw_write_cycles as f64
+            } else {
+                Joules::ZERO
+            };
+            let expected = energy.inference_read_fixed() * stats.inference_reads as f64
+                + energy.inference_read_per_zero() * stats.inference_zero_bits as f64
+                + energy.rw_read_cycle() * stats.rw_read_cycles as f64
+                + write;
+            let got = array.energy_for_stats(&stats).unwrap();
+            prop_assert_eq!(got.value().to_bits(), expected.value().to_bits(), "{}", cell);
+        }
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! update *costs* (cycles/latency/energy), never what it *computes*. This
 //! is what lets the repo quote one learning curve for both cells while
 //! comparing their training budgets.
+//!
+//! Both cells run the same word-level STDP update, so the last test pins
+//! whole digit-stream trajectories to recorded constants as well.
 
 use esam::prelude::*;
 use esam_core::OnlineSession;
@@ -124,4 +127,104 @@ proptest! {
             prop_assert_eq!(single_tally.cost.cycles, 0);
         }
     }
+}
+
+/// What a pinned learning run reduces to: the session totals, the exact
+/// energy bits, and the weight popcount of every output column.
+#[derive(Debug, PartialEq)]
+struct Trajectory {
+    correct: u64,
+    updates: u64,
+    bits_flipped: usize,
+    cycles: u64,
+    energy_bits: u64,
+    column_ones: Vec<usize>,
+}
+
+/// Streams 300 synthetic digits through an `OnlineSession` on a seeded
+/// readout of `topology` and reduces the run to a [`Trajectory`].
+fn digit_trajectory(
+    cell: BitcellKind,
+    topology: &[usize],
+    neuron: Option<NeuronConfig>,
+) -> Trajectory {
+    let data = Dataset::generate(&DigitsConfig {
+        train_count: 300,
+        test_count: 1,
+        seed: 11,
+        ..DigitsConfig::default()
+    })
+    .expect("digit set");
+    let net = BnnNetwork::new(topology, 3).expect("valid topology");
+    let model = SnnModel::from_bnn(&net).expect("conversion");
+    let mut builder = SystemConfig::builder(cell, topology);
+    if let Some(neuron) = neuron {
+        builder = builder.neuron(neuron);
+    }
+    let config = builder.build().expect("valid configuration");
+    let mut system = EsamSystem::from_model(&model, &config).expect("topologies match");
+    let mut session = OnlineSession::new(&mut system, StdpRule::new(0.4, 0.02), 7);
+    session
+        .run_stream(data.train.stream(11))
+        .expect("stream learns");
+    let tally = *session.tally();
+    let output = system.tiles().last().expect("output tile");
+    Trajectory {
+        correct: tally.correct,
+        updates: tally.updates,
+        bits_flipped: tally.cost.bits_flipped,
+        cycles: tally.cost.cycles,
+        energy_bits: tally.cost.energy.value().to_bits(),
+        column_ones: (0..output.outputs())
+            .map(|n| output.weight_column(n).count_ones())
+            .collect(),
+    }
+}
+
+/// Learning trajectories pinned to constants recorded on the per-bit STDP
+/// walk. The suites above compare the cells with each other, and both cells
+/// run the same word-level update, so a fault in that update would pass
+/// them; these constants catch it. A change that moves any of them changes
+/// what the system learns.
+#[test]
+fn digit_stream_trajectories_are_pinned() {
+    let multiport = BitcellKind::multiport(4).unwrap();
+    let readout_columns = vec![350, 331, 339, 291, 316, 347, 346, 328, 360, 305];
+    assert_eq!(
+        digit_trajectory(multiport, &[768, 10], None),
+        Trajectory {
+            correct: 109,
+            updates: 440,
+            bits_flipped: 16839,
+            cycles: 21120,
+            energy_bits: 4483734197248731125,
+            column_ones: readout_columns.clone(),
+        },
+        "768:10 on 1RW+4R"
+    );
+    assert_eq!(
+        digit_trajectory(BitcellKind::Std6T, &[768, 10], None),
+        Trajectory {
+            correct: 109,
+            updates: 440,
+            bits_flipped: 16839,
+            cycles: 675840,
+            energy_bits: 4496940067820923216,
+            column_ones: readout_columns,
+        },
+        "768:10 on 6T"
+    );
+    let on_fire = NeuronConfig::new(12, 12, esam::neuron::ResetPolicy::OnFire);
+    assert_eq!(
+        digit_trajectory(multiport, &[768, 200, 10], Some(on_fire)),
+        Trajectory {
+            correct: 33,
+            updates: 537,
+            bits_flipped: 6982,
+            cycles: 8592,
+            energy_bits: 4476659627154104525,
+            column_ones: vec![109, 100, 90, 96, 93, 94, 105, 75, 102, 82],
+        },
+        "768:200:10 with OnFire registers on 1RW+4R"
+    );
 }
