@@ -4,26 +4,23 @@
 //! repro [--quick] [--json] [--samples N] [--threads N] <experiment>... | all
 //! ```
 //!
-//! Experiments: area, fig6, fig7, table2, arbiter, nbl, sta, transient,
-//! addertree, corners, hot_path, serve, mesh, faults, integrity, observe,
-//! learning, learning_curve, fig8, table3, accuracy, batch — or `all`.
+//! `repro --help` lists the experiment ids (see the `esam_bench` crate
+//! docs for what each one reproduces), or `all`.
 //! `--quick` trims the BNN training budget; `--samples` bounds the test
 //! images used by system-level experiments, the length of the
 //! `learning_curve` training stream, the request counts of the `serve`
-//! and `observe` experiments and
-//! the frames per point of the `mesh`, `faults` and `integrity` sweeps
-//! (default 200); `--threads` caps the worker sweep of the `batch`
-//! experiment and the worker pools of the `serve` and `faults`
-//! experiments (default: all cores); `--json` emits machine-readable
-//! output for experiments that
-//! support it (`hot_path`, `serve`, `mesh`, `faults`, `integrity`,
-//! `observe`). With `ESAM_OBSERVE_DIR=dir` set, `observe` also writes
-//! `dir/trace.json` (Perfetto-loadable), `dir/metrics.prom` and
-//! `dir/metrics.json`.
+//! and `observe` experiments and the frames per point of the `mesh`,
+//! `faults` and `integrity` sweeps (default 200); `--threads` caps the
+//! worker sweep of the `batch` experiment and the worker pools of the
+//! `serve` and `faults` experiments (default: all cores); `--json` emits
+//! machine-readable output for experiments that support it (`serve`,
+//! `mesh`, `faults`, `integrity`, `observe`). With `ESAM_OBSERVE_DIR=dir`
+//! set, `observe` also writes `dir/trace.json` (Perfetto-loadable),
+//! `dir/metrics.prom` and `dir/metrics.json`.
 
 use std::process::ExitCode;
 
-use esam_bench::{run_experiments, Fidelity};
+use esam_bench::{experiment_ids, run_experiments, Fidelity};
 
 fn main() -> ExitCode {
     let mut fidelity = Fidelity::Full;
@@ -64,9 +61,11 @@ fn main() -> ExitCode {
                 }
             }
             "--help" | "-h" => {
+                let experiments: Vec<&str> = experiment_ids().collect();
                 println!(
                     "usage: repro [--quick] [--json] [--samples N] [--threads N] <experiment>... | all\n\
-                     experiments: area fig6 fig7 table2 arbiter nbl sta transient addertree corners hot_path serve mesh faults integrity observe learning learning_curve fig8 table3 accuracy batch"
+                     experiments: {}",
+                    experiments.join(" ")
                 );
                 return ExitCode::SUCCESS;
             }

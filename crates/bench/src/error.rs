@@ -34,10 +34,13 @@ impl fmt::Display for BenchError {
             BenchError::Sram(e) => write!(f, "{e}"),
             BenchError::Logic(e) => write!(f, "{e}"),
             BenchError::Circuit(e) => write!(f, "{e}"),
-            BenchError::UnknownExperiment(id) => write!(
-                f,
-                "unknown experiment '{id}' (try: area, fig6, fig7, table2, arbiter, nbl, sta, transient, addertree, corners, hot_path, serve, mesh, faults, observe, learning, learning_curve, fig8, table3, accuracy, batch, all)"
-            ),
+            BenchError::UnknownExperiment(id) => {
+                write!(f, "unknown experiment '{id}' (try: ")?;
+                for known in crate::experiment_ids() {
+                    write!(f, "{known}, ")?;
+                }
+                write!(f, "all)")
+            }
         }
     }
 }
@@ -96,5 +99,23 @@ mod tests {
         assert!(std::error::Error::source(&e).is_none());
         let e: BenchError = NnError::EmptyDataset.into();
         assert!(std::error::Error::source(&e).is_some());
+    }
+
+    #[test]
+    fn unknown_experiment_message_names_every_id() {
+        let message = BenchError::UnknownExperiment("bogus".into()).to_string();
+        let listed: Vec<&str> = message
+            .split_once("(try: ")
+            .and_then(|(_, list)| list.strip_suffix(')'))
+            .expect("message ends in an id list")
+            .split(", ")
+            .collect();
+        for id in crate::CIRCUIT_EXPERIMENTS
+            .iter()
+            .chain(&crate::SYSTEM_EXPERIMENTS)
+            .chain(&["all"])
+        {
+            assert!(listed.contains(id), "'{id}' missing from: {message}");
+        }
     }
 }

@@ -12,7 +12,7 @@ use esam_sram::{ArrayConfig, BitcellKind, SramMacro};
 use crate::{BenchError, Table};
 
 /// Spike densities swept (fractions of rows firing per timestep).
-pub const DENSITIES: [f64; 6] = [0.01, 0.02, 0.05, 0.10, 0.25, 0.50];
+const DENSITIES: [f64; 6] = [0.01, 0.02, 0.05, 0.10, 0.25, 0.50];
 
 /// Builds the sparsity-sweep comparison table.
 ///

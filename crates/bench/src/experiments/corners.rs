@@ -19,7 +19,7 @@ use crate::Table;
 const NOMINAL_LEAKAGE_FRACTION: f64 = 0.08;
 
 /// The corners swept: the paper point plus three energy-oriented options.
-pub fn corner_set() -> Vec<(&'static str, OperatingPoint)> {
+fn corner_set() -> Vec<(&'static str, OperatingPoint)> {
     vec![
         ("nominal 700 mV SVT", OperatingPoint::nominal()),
         (

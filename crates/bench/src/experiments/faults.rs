@@ -1,9 +1,9 @@
 //! Fault-injection experiment: accuracy and latency under deterministic
 //! faults across all three fault domains.
 //!
-//! Everything here runs against the same seeded, untrained networks as
-//! `hot_path`/`mesh` — no dataset, no training, reproducible to the bit
-//! (every fault site is a pure function of the plan seed). Three sweeps:
+//! Everything here runs against seeded, untrained networks — no
+//! dataset, no training, reproducible to the bit (every fault site is a
+//! pure function of the plan seed). Three sweeps:
 //!
 //! 1. **SRAM bit flips** — transient weight-bit and membrane-word upsets
 //!    at ≥ 4 rates on both the 6T and 4-port cells, via
@@ -25,7 +25,7 @@
 //!    modeled cycle cost inflates with the re-transmissions.
 //!
 //! `repro faults --json` emits the whole thing as one machine-readable
-//! object for snapshot diffing, like `hot_path`/`serve`/`mesh`.
+//! object for snapshot diffing, like `serve`/`mesh`.
 
 use std::sync::Once;
 use std::time::Duration;

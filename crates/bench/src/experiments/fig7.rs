@@ -7,7 +7,7 @@ use esam_tech::units::Volts;
 use crate::{BenchError, Table};
 
 /// Precharge rails swept by the figure (mV).
-pub const RAILS_MV: [f64; 4] = [700.0, 600.0, 500.0, 400.0];
+const RAILS_MV: [f64; 4] = [700.0, 600.0, 500.0, 400.0];
 
 /// Reproduces Fig. 7. "Total access time is calculated as the sum of the
 /// precharge time and the Read time" (§4.2); with `p` ports fully utilized,

@@ -89,7 +89,7 @@ impl MeshResults {
 }
 
 /// Deterministic ~20 %-density input frames (fixed stride pattern, no
-/// RNG dependency — same idiom as the `hot_path` experiment).
+/// RNG dependency).
 fn synthetic_frames(width: usize, count: usize) -> Vec<BitVec> {
     (0..count)
         .map(|f| {

@@ -1,4 +1,4 @@
-//! One module per reproduced table/figure. See `DESIGN.md` §3 for the
+//! One module per reproduced table/figure. The crate docs hold the
 //! experiment index.
 
 pub mod accuracy;
@@ -11,7 +11,6 @@ pub mod faults;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod hot_path;
 pub mod integrity;
 pub mod learning;
 pub mod learning_curve;

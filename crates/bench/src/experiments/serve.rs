@@ -1,7 +1,7 @@
 //! Serving experiment: latency/throughput of the `esam-serve` micro-batching
 //! service under closed-loop and open-loop load.
 //!
-//! Like `hot_path` and `batch`, this measures the *simulator as a system*,
+//! Like `batch`, this measures the *simulator as a system*,
 //! not the modeled silicon: the paper-default 768:256:256:256:10 cascade
 //! (untrained, seed-initialized — no dataset, no training) is put behind
 //! the concurrent service and driven by the deterministic load generator.
@@ -20,7 +20,7 @@
 //!    growing an unbounded queue.
 //!
 //! `repro serve --json` emits one machine-readable object per run for
-//! cross-PR comparison, mirroring the `hot_path --json` snapshot.
+//! cross-PR comparison.
 
 use std::time::{Duration, Instant};
 

@@ -3,7 +3,7 @@
 //! Each artifact of the paper's evaluation section has a module under
 //! [`experiments`] that computes it from the workspace's models — nothing is
 //! hard-coded except the paper's own quoted values, printed alongside for
-//! comparison. The `repro` binary drives them:
+//! comparison. The `repro` binary drives them, one id per artifact:
 //!
 //! ```text
 //! cargo run --release -p esam-bench --bin repro -- all
@@ -22,7 +22,6 @@
 //! | `learning` | §4.4.1 online-learning cost |
 //! | `learning_curve` | §4.4 streaming STDP session: accuracy recovery + training cost |
 //! | `fig8` | system sweep + headline gains |
-//! | `hot_path` | simulator hot-path throughput: frames/sec per cell kind (`--json` for machines) |
 //! | `batch` | simulator batch-scaling: frames/sec vs worker threads |
 //! | `mesh` | multi-core mesh scaling: pipeline-parallel throughput vs core count (`--json` for machines) |
 //! | `serve` | concurrent serving: closed/open-loop latency SLOs + admission behaviour (`--json` for machines) |
@@ -35,6 +34,10 @@
 //! | `transient` | MNA transient cross-check of the bitline models |
 //! | `addertree` | intro baseline: adder-tree CIM vs CIM-P sparsity sweep |
 //! | `corners` | Table 3 note: DVFS/HVT corner projection |
+//!
+//! Simulator speed is measured by the `perfbench` package at the
+//! repository root, not here; the wall-clock columns of `batch`, `serve`
+//! and `mesh` accompany their modeled and bit-identity figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,9 +52,9 @@ pub use error::BenchError;
 pub use table::Table;
 
 /// Experiment ids that need no trained network (circuit-level artifacts
-/// plus the synthetic-workload `hot_path`, `serve`, `mesh` and `faults`
-/// simulator benchmarks).
-pub const CIRCUIT_EXPERIMENTS: [&str; 16] = [
+/// plus the synthetic-workload `serve`, `mesh`, `faults`, `integrity` and
+/// `observe` experiments).
+pub const CIRCUIT_EXPERIMENTS: [&str; 15] = [
     "area",
     "fig6",
     "fig7",
@@ -62,7 +65,6 @@ pub const CIRCUIT_EXPERIMENTS: [&str; 16] = [
     "transient",
     "addertree",
     "corners",
-    "hot_path",
     "serve",
     "mesh",
     "faults",
@@ -82,6 +84,12 @@ pub const SYSTEM_EXPERIMENTS: [&str; 6] = [
     "batch",
 ];
 
+/// Every experiment id in `all` order: [`CIRCUIT_EXPERIMENTS`], then
+/// [`SYSTEM_EXPERIMENTS`].
+pub fn experiment_ids() -> impl Iterator<Item = &'static str> {
+    CIRCUIT_EXPERIMENTS.into_iter().chain(SYSTEM_EXPERIMENTS)
+}
+
 /// Runs a list of experiments, printing each table to stdout.
 ///
 /// `samples` bounds the number of test images used by the system-level
@@ -89,7 +97,7 @@ pub const SYSTEM_EXPERIMENTS: [&str; 6] = [
 /// `threads` caps the worker sweep of the `batch` experiment and the
 /// worker pool of the `serve` experiment (0 = this machine's available
 /// parallelism); `json` switches experiments that support machine-readable
-/// output (`hot_path`, `serve`, `mesh`, `faults`, `observe`) from a table
+/// output (`serve`, `mesh`, `faults`, `integrity`, `observe`) from a table
 /// to one JSON object per experiment. The shared
 /// [`ExperimentContext`] (dataset + trained model) is built lazily, only
 /// when a system experiment is requested.
@@ -106,20 +114,14 @@ pub fn run_experiments(
     json: bool,
 ) -> Result<(), BenchError> {
     let expanded: Vec<String> = if ids.iter().any(|id| id == "all") {
-        CIRCUIT_EXPERIMENTS
-            .iter()
-            .chain(SYSTEM_EXPERIMENTS.iter())
-            .map(|s| s.to_string())
-            .collect()
+        experiment_ids().map(str::to_string).collect()
     } else {
         ids.to_vec()
     };
 
     // Validate ids before doing any expensive work.
     for id in &expanded {
-        let known =
-            CIRCUIT_EXPERIMENTS.contains(&id.as_str()) || SYSTEM_EXPERIMENTS.contains(&id.as_str());
-        if !known {
+        if !experiment_ids().any(|known| known == id) {
             return Err(BenchError::UnknownExperiment(id.clone()));
         }
     }
@@ -150,14 +152,6 @@ pub fn run_experiments(
                 println!("{}", experiments::arbiter::arbiter_scaling_table()?);
             }
             "nbl" => println!("{}", experiments::nbl::nbl_table()),
-            "hot_path" => {
-                let results = experiments::hot_path::hot_path_results(samples)?;
-                if json {
-                    println!("{}", experiments::hot_path::hot_path_json(&results));
-                } else {
-                    println!("{}", experiments::hot_path::hot_path_table(&results));
-                }
-            }
             "serve" => {
                 let results = experiments::serve::serve_results(samples, threads)?;
                 if json {
@@ -302,12 +296,6 @@ mod tests {
             run_experiments(&[id.to_string()], Fidelity::Quick, 5, 0, false)
                 .unwrap_or_else(|e| panic!("{id} failed: {e}"));
         }
-    }
-
-    #[test]
-    fn hot_path_runs_in_json_mode() {
-        run_experiments(&["hot_path".to_string()], Fidelity::Quick, 2, 0, true)
-            .expect("hot_path --json");
     }
 
     #[test]

@@ -688,10 +688,8 @@ impl EsamSystem {
     /// block — so either takes the sequential walk. Stuck-at faults live in
     /// the weights themselves and keep the block path (and its exactness).
     ///
-    /// [`infer_block`](Self::infer_block) consults this itself; callers
-    /// that group frames differently for each path (the `esam-serve`
-    /// workers' supervision units) ask it up front.
-    pub fn block_path_eligible(&self) -> bool {
+    /// Consulted by [`infer_block`](Self::infer_block).
+    fn block_path_eligible(&self) -> bool {
         !self.faults.transient_active()
             && !self.integrity.checks()
             && self.tiles.iter().all(Tile::block_ready)
@@ -706,9 +704,10 @@ impl EsamSystem {
     /// cycle counts *and every activity counter* — are bit-identical to
     /// looping [`infer`](Self::infer) over the same frames in order
     /// (property-tested in `tests/bitslice_equivalence.rs`). When the
-    /// system state or configuration rules the block path out (see
-    /// [`block_path_eligible`](Self::block_path_eligible)), the frames run
-    /// through the sequential walk instead, so the call is *always* exact.
+    /// system state or configuration rules the block path out (a tile that
+    /// is not [`block_ready`](Tile::block_ready), planned transient faults
+    /// or integrity checking), the frames run through the sequential walk
+    /// instead, so the call is *always* exact.
     ///
     /// An empty slice yields an empty result vector.
     ///
@@ -807,33 +806,6 @@ impl EsamSystem {
             ));
         }
         Ok(())
-    }
-
-    /// [`measure_batch`](Self::measure_batch) on the batch-major bit-sliced
-    /// path: same reset, same tally, same finalization — and bit-identical
-    /// metrics, because the block path reproduces every counter the
-    /// sequential walk accumulates (the merge law the batch engine already
-    /// relies on makes the per-block closed-form sums exact).
-    ///
-    /// # Errors
-    ///
-    /// Propagates inference errors; returns
-    /// [`CoreError::InvalidConfig`] for an empty batch.
-    pub fn measure_batch_bitsliced(
-        &mut self,
-        frames: &[BitVec],
-    ) -> Result<SystemMetrics, CoreError> {
-        if frames.is_empty() {
-            return Err(CoreError::InvalidConfig(
-                "metrics need at least one frame".into(),
-            ));
-        }
-        self.reset_stats();
-        let mut tally = BatchTally::default();
-        for result in self.infer_block(frames)? {
-            tally.record(&result);
-        }
-        self.finalize_metrics(&tally)
     }
 
     /// Finalization core shared by the sequential and parallel paths (and

@@ -133,18 +133,6 @@ fn narrow_membrane_registers_fall_back_to_the_sequential_walk() {
     assert_block_matches_sequential(&template, &batch, "narrow membranes");
 }
 
-#[test]
-fn bitsliced_measurement_is_bit_identical_at_every_thread_count() {
-    let template = system(&[128, 64, 10], 11, BitcellKind::multiport(4).unwrap());
-    let batch = frames(128, 150, 29, 0.25);
-    let expected = template.clone().measure_batch(&batch).unwrap();
-    assert_eq!(
-        template.clone().measure_batch_bitsliced(&batch).unwrap(),
-        expected,
-        "single-threaded bit-sliced measurement"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

@@ -8,6 +8,8 @@
 //! shape). Batching amortizes the per-dispatch synchronization (one queue
 //! pop, one metrics flush per batch) without changing any result: frames
 //! are independent, so batch composition can never influence a response.
+//! A batch is a dispatch unit only; the worker runs each of its requests
+//! as its own supervised unit.
 
 use std::time::Duration;
 
@@ -16,7 +18,6 @@ use std::time::Duration;
 pub struct BatchPolicy {
     max_batch: usize,
     max_wait: Duration,
-    slice_width: usize,
 }
 
 impl BatchPolicy {
@@ -27,7 +28,6 @@ impl BatchPolicy {
         Self {
             max_batch: max_batch.max(1),
             max_wait,
-            slice_width: 1,
         }
     }
 
@@ -42,18 +42,6 @@ impl BatchPolicy {
         Self::greedy(1)
     }
 
-    /// Prefers batch sizes that are multiples of `width` (clamped to at
-    /// least 1): when a ready batch overshoots a multiple, the extraction
-    /// rounds it down to the nearest one — **only** if the requests it
-    /// would defer have not already waited out [`max_wait`](Self::max_wait).
-    /// Aligning batches to the bit-sliced lane width keeps worker blocks
-    /// full (see [`FrameBlock`](esam_bits::FrameBlock)); latency always
-    /// wins when the two goals conflict.
-    pub fn slice_aligned(mut self, width: usize) -> Self {
-        self.slice_width = width.max(1);
-        self
-    }
-
     /// Maximum requests per dispatched batch.
     pub fn max_batch(&self) -> usize {
         self.max_batch
@@ -63,11 +51,6 @@ impl BatchPolicy {
     /// request is seen.
     pub fn max_wait(&self) -> Duration {
         self.max_wait
-    }
-
-    /// Preferred batch-size multiple (1 = no alignment preference).
-    pub fn slice_width(&self) -> usize {
-        self.slice_width
     }
 }
 
@@ -91,15 +74,5 @@ mod tests {
         assert_eq!(BatchPolicy::default().max_batch(), 8);
         assert_eq!(BatchPolicy::default().max_wait(), Duration::ZERO);
         assert_eq!(BatchPolicy::unbatched().max_batch(), 1);
-        assert_eq!(BatchPolicy::default().slice_width(), 1);
-    }
-
-    #[test]
-    fn slice_alignment_clamps_and_reports() {
-        let policy = BatchPolicy::new(128, Duration::from_micros(50)).slice_aligned(64);
-        assert_eq!(policy.slice_width(), 64);
-        assert_eq!(policy.max_batch(), 128, "alignment leaves the cap alone");
-        let clamped = BatchPolicy::greedy(8).slice_aligned(0);
-        assert_eq!(clamped.slice_width(), 1, "width clamps to 1");
     }
 }

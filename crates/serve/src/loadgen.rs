@@ -113,8 +113,7 @@ impl LoadGenerator {
     }
 
     /// A generator over `count` deterministic ~20 %-density synthetic
-    /// frames of the given width (ChaCha-seeded, reproducible — the same
-    /// workload shape as the `hot_path` experiment).
+    /// frames of the given width (ChaCha-seeded, reproducible).
     pub fn synthetic(width: usize, count: usize, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let frames = (0..count.max(1))

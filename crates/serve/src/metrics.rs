@@ -10,8 +10,7 @@
 //!   exhibit for the same request (the cascade's cycle count ×
 //!   [`PipelineTiming`](esam_core::PipelineTiming) clock period). This is
 //!   an invariant of the workload: it must not move when only the serving
-//!   layer changes, so a shift flags a functional regression, exactly like
-//!   `cycles/frame` in the `hot_path` experiment.
+//!   layer changes, so a shift flags a functional regression.
 //!
 //! The histogram itself lives in [`esam_obs`] (it is shared with the mesh
 //! link/occupancy and queue-depth series); the alias below keeps this

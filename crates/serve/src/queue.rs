@@ -193,23 +193,7 @@ impl RequestQueue {
                     }
                 }
             }
-            let mut take = state.pending.len().min(policy.max_batch());
-            let slice = policy.slice_width();
-            if slice > 1 {
-                // Prefer slice-width-aligned batch sizes so the bit-sliced
-                // worker path runs full lane blocks — but never at the cost
-                // of latency: the overshoot is only deferred to the next
-                // batch if its oldest request still has max_wait budget
-                // left. (Greedy policies have a zero budget, so they never
-                // round.)
-                let aligned = take - take % slice;
-                if aligned > 0
-                    && aligned < take
-                    && state.pending[aligned].submitted.elapsed() < policy.max_wait()
-                {
-                    take = aligned;
-                }
-            }
+            let take = state.pending.len().min(policy.max_batch());
             if take == 0 {
                 // A peer worker drained the queue while this one released
                 // the lock during the straggler wait: go back to the
@@ -265,22 +249,13 @@ mod tests {
     use std::sync::Arc;
 
     fn request(id: u64) -> (PendingRequest, crate::Ticket) {
-        aged_request(id, Duration::ZERO)
-    }
-
-    /// A request whose `submitted` stamp lies `age` in the past — for
-    /// exercising the slice-alignment freshness boundary.
-    fn aged_request(id: u64, age: Duration) -> (PendingRequest, crate::Ticket) {
         let slot = ResponseSlot::new();
-        let submitted = Instant::now()
-            .checked_sub(age)
-            .expect("age fits in the clock's range");
         (
             PendingRequest {
                 id,
                 frame: BitVec::new(8),
                 slot: Arc::clone(&slot),
-                submitted,
+                submitted: Instant::now(),
                 attempts: 0,
                 arrival_cycle: None,
             },
@@ -369,65 +344,6 @@ mod tests {
         assert_eq!(batch[0].id, 0);
         producer.join().expect("producer").expect("admitted");
         assert_eq!(queue.depth(), 1);
-    }
-
-    #[test]
-    fn slice_alignment_rounds_down_while_the_straggler_is_fresh() {
-        // 3 pending, slice width 2: the overshoot request (index 2) is
-        // fresh, so extraction rounds down to the aligned 2 and leaves the
-        // straggler for the next batch.
-        let queue = RequestQueue::new(8, AdmissionPolicy::Block);
-        for id in 0..3 {
-            queue.push(request(id).0).unwrap();
-        }
-        let policy = BatchPolicy::new(3, Duration::from_secs(10)).slice_aligned(2);
-        let batch = queue.pop_batch(&policy).unwrap();
-        assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(queue.depth(), 1, "the overshoot request stays queued");
-    }
-
-    #[test]
-    fn slice_alignment_yields_to_a_stale_straggler() {
-        // Same shape, but the overshoot request has already waited out the
-        // policy's max_wait: deferring it would add latency beyond the
-        // budget, so the full unaligned batch dispatches.
-        let queue = RequestQueue::new(8, AdmissionPolicy::Block);
-        for id in 0..2 {
-            queue.push(request(id).0).unwrap();
-        }
-        queue
-            .push(aged_request(2, Duration::from_secs(3600)).0)
-            .unwrap();
-        let policy = BatchPolicy::new(3, Duration::from_millis(5)).slice_aligned(2);
-        let batch = queue.pop_batch(&policy).unwrap();
-        assert_eq!(batch.len(), 3, "a stale straggler is never deferred");
-        assert_eq!(queue.depth(), 0);
-    }
-
-    #[test]
-    fn greedy_policies_never_round() {
-        // Greedy means a zero max_wait budget: any deferral would exceed
-        // it, so alignment never engages.
-        let queue = RequestQueue::new(8, AdmissionPolicy::Block);
-        for id in 0..3 {
-            queue.push(request(id).0).unwrap();
-        }
-        let policy = BatchPolicy::greedy(8).slice_aligned(2);
-        let batch = queue.pop_batch(&policy).unwrap();
-        assert_eq!(batch.len(), 3, "greedy dispatches everything queued");
-    }
-
-    #[test]
-    fn slice_alignment_never_starves_a_short_batch() {
-        // Fewer requests than one slice: rounding down would dispatch
-        // nothing, so the sub-slice batch goes out as-is.
-        let queue = RequestQueue::new(8, AdmissionPolicy::Block);
-        for id in 0..3 {
-            queue.push(request(id).0).unwrap();
-        }
-        let policy = BatchPolicy::new(3, Duration::from_secs(10)).slice_aligned(64);
-        let batch = queue.pop_batch(&policy).unwrap();
-        assert_eq!(batch.len(), 3, "sub-slice batches dispatch whole");
     }
 
     #[test]

@@ -5,21 +5,19 @@
 //! neuron/scratch state is duplicated — the same sharing the offline
 //! [`BatchEngine`](esam_core::BatchEngine) relies on) and spawns one plain
 //! `std::thread` per worker. Each worker loops: pull a micro-batch off the
-//! queue under its [`BatchPolicy`], run it through its own pipeline clone
-//! as supervised *units*, fulfil the tickets, flush the batch's latency
-//! samples and counters into the shared metrics under one lock.
+//! queue under its [`BatchPolicy`], run each request through its own
+//! pipeline clone as one supervised unit, fulfil the tickets, flush the
+//! batch's latency samples and counters into the shared metrics under one
+//! lock.
 //!
-//! A unit is the requests one `catch_unwind` covers: the whole batch when
-//! it holds at least [`FrameBlock::LANES`](esam_bits::FrameBlock::LANES)
-//! requests, no serve-domain fault is planned and the pipeline is
-//! [`block_path_eligible`](esam_core::EsamSystem::block_path_eligible)
-//! (no transient faults, no integrity checking, every tile ready), and one
-//! request otherwise. A whole-batch unit advances through the batch-major
-//! bit-sliced kernel
-//! ([`EsamSystem::infer_block`](esam_core::EsamSystem::infer_block)) — 64
-//! frames per machine word — which is bit-identical to the per-request
-//! walk; pair it with [`BatchPolicy::slice_aligned`] so the queue prefers
-//! lane-width multiples.
+//! A unit is one request under one `catch_unwind`: stall and panic
+//! injection, [`EsamSystem::infer_checked`](esam_core::EsamSystem::infer_checked)
+//! (the closed-form frame kernel wherever it is exact), banking,
+//! fulfilment. A panic re-clones the worker's pipeline and either requeues
+//! that one request or resolves it with
+//! [`ServeError::RetriesExhausted`], so every worker restart is exactly
+//! one retry or one exhausted request. The batch is a dispatch unit only:
+//! it amortizes the queue pop and the metrics flush.
 //!
 //! Results are **bit-identical** to calling
 //! [`EsamSystem::infer`](esam_core::EsamSystem::infer) sequentially on the
@@ -29,7 +27,6 @@
 //! response (pinned across worker counts and policies by
 //! `tests/determinism.rs`).
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +34,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use esam_bits::{BitVec, FrameBlock};
+use esam_bits::BitVec;
 use esam_core::{
     BatchTally, EsamSystem, InferenceResult, IntegrityMode, IntegrityTally, SystemMetrics,
 };
@@ -590,9 +587,7 @@ impl Drop for EsamService {
 
 /// Resolves one request's ticket from its inference outcome and flushes the
 /// latency sample; returns 1 on failure (for the batch's failure count).
-/// The worker loop's one fulfilment site, whatever the unit ran on, so the
-/// block kernel and the per-request walk produce byte-identical
-/// [`Response`]s.
+/// The worker loop's one fulfilment site.
 ///
 /// When tracing is on, this is also where the request's timeline is
 /// recorded: a `queue-wait` span from the modeled arrival cycle to the
@@ -672,22 +667,21 @@ fn fulfil(
 /// closes and drains; return the worker's banked pipeline counters and
 /// cycle tally for the shutdown fold.
 ///
-/// Each batch runs as supervised units (see the module docs): a whole
-/// lane-wide batch on the block kernel, or one request at a time. Every
-/// unit takes the same steps — stall/panic injection, execution under one
-/// `catch_unwind`, banking, fulfilment — and a panic or a quarantine
-/// verdict ends it with a re-clone from the template.
+/// Each request of a batch is one supervised unit (see the module docs):
+/// stall/panic injection, execution under one `catch_unwind`, banking,
+/// fulfilment — and a panic or a quarantine verdict ends it with a
+/// re-clone from the template.
 ///
 /// Supervision model: `template` is the pristine (fault-plan-installed)
 /// pipeline the worker restarts from. Execution runs on a `working` clone;
-/// after every *successful* unit the working counters are banked
+/// after every *successful* request the working counters are banked
 /// (`banked.absorb_stats` + `working.reset_stats`), so when an execution
 /// attempt panics — injected by the fault plan or genuine — discarding the
 /// half-updated `working` clone loses nothing that was already reported.
 /// That keeps the shutdown fold's `modeled` metrics exactly consistent
-/// with the completed traffic even across restarts. The unwound unit's
-/// requests are re-enqueued (front of the queue) while they have retry
-/// budget, else their tickets resolve with [`ServeError::RetriesExhausted`].
+/// with the completed traffic even across restarts. The unwound request is
+/// re-enqueued (front of the queue) while it has retry budget, else its
+/// ticket resolves with [`ServeError::RetriesExhausted`].
 fn worker_loop(
     template: EsamSystem,
     config: ServeConfig,
@@ -707,9 +701,7 @@ fn worker_loop(
     let mut working = template.clone();
     working.reset_stats();
     let mut tally = BatchTally::default();
-    let max_batch = config.batch_policy().max_batch();
-    let mut samples: Vec<BatchSamples> = Vec::with_capacity(max_batch);
-    let mut outcomes: Vec<Result<InferenceResult, ServeError>> = Vec::with_capacity(max_batch);
+    let mut samples: Vec<BatchSamples> = Vec::with_capacity(config.batch_policy().max_batch());
     while let Some(mut batch) = queue.pop_batch(&config.batch_policy()) {
         let dispatch = Instant::now();
         samples.clear();
@@ -737,127 +729,92 @@ fn worker_loop(
         if let Some(track) = track.as_mut() {
             track.instant("batch-form", [Some(("size", size as u64)), None]);
         }
-        // Serve faults strike per request, so they need a supervision
-        // boundary per request; whether the block kernel reproduces the
-        // per-request walk is the pipeline's own call.
-        let block =
-            size >= FrameBlock::LANES && !faults.serve_active() && working.block_path_eligible();
-        let mut pending = VecDeque::from(batch);
-        while let Some(first) = pending.front() {
-            let unit_id = first.id;
-            let unit_len = if block { pending.len() } else { 1 };
-            for request in pending.range(..unit_len) {
-                if faults.worker_stall(request.id, u64::from(request.attempts)) {
-                    counts.worker_stalls += 1;
-                    if let Some(track) = track.as_mut() {
-                        track.instant("worker-stall", [Some(("request", request.id)), None]);
-                    }
-                    std::thread::sleep(faults.config().worker_stall());
+        for mut request in batch {
+            let attempt = u64::from(request.attempts);
+            if faults.worker_stall(request.id, attempt) {
+                counts.worker_stalls += 1;
+                if let Some(track) = track.as_mut() {
+                    track.instant("worker-stall", [Some(("request", request.id)), None]);
                 }
+                std::thread::sleep(faults.config().worker_stall());
             }
-            let injected_panic = pending
-                .range(..unit_len)
-                .find(|request| faults.worker_panic(request.id, u64::from(request.attempts)));
+            let injected_panic = faults.worker_panic(request.id, attempt);
             let run = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(request) = injected_panic {
+                if injected_panic {
                     panic!(
                         "injected worker fault (request {}, attempt {})",
                         request.id, request.attempts
                     );
                 }
-                if block {
-                    // Widths were validated at submission, so a block
-                    // error is a genuine worker fault: every request of
-                    // the unit resolves with it.
-                    let frames: Vec<BitVec> =
-                        pending.range(..unit_len).map(|r| r.frame.clone()).collect();
-                    match working.infer_block(&frames) {
-                        Ok(results) => outcomes.extend(results.into_iter().map(Ok)),
-                        Err(error) => {
-                            let error = ServeError::Worker(error.to_string());
-                            outcomes.extend(frames.iter().map(|_| Err(error.clone())));
-                        }
-                    }
-                } else {
-                    // The transient-fault coordinate is the request id —
-                    // assigned at submission, so the faulted result is
-                    // independent of which worker serves it, of batch
-                    // composition, and of retries (a replayed request
-                    // hits the same weight bits and reproduces the same
-                    // response bit-for-bit). With integrity Off the
-                    // oracle restores the flips after the frame; with
-                    // checking on, the flips stay in and the SECDED
-                    // ladder recovers them.
-                    outcomes.push(
-                        working
-                            .infer_checked(&first.frame, first.id)
-                            .map_err(|error| ServeError::Worker(error.to_string())),
-                    );
-                }
+                // The transient-fault coordinate is the request id —
+                // assigned at submission, so the faulted result is
+                // independent of which worker serves it, of batch
+                // composition, and of retries (a replayed request hits the
+                // same weight bits and reproduces the same response
+                // bit-for-bit). With integrity Off the oracle restores the
+                // flips after the frame; with checking on, the flips stay
+                // in and the SECDED ladder recovers them.
+                working
+                    .infer_checked(&request.frame, request.id)
+                    .map_err(|error| ServeError::Worker(error.to_string()))
             }));
+            let request_id = request.id;
             let restart = match run {
-                Ok(()) => {
-                    // Health reads the unit's integrity delta off the
+                Ok(outcome) => {
+                    // Health reads the request's integrity delta off the
                     // working clone *before* banking zeroes it.
                     let verdict = health
                         .as_mut()
                         .map(|monitor| monitor.observe(&working.integrity_tally()));
                     banked.absorb_stats(&working);
                     working.reset_stats();
-                    for (request, outcome) in pending.drain(..unit_len).zip(outcomes.drain(..)) {
-                        counts.failed += fulfil(
-                            request,
-                            outcome,
-                            dispatch,
-                            size,
-                            &mut tally,
-                            &mut samples,
-                            &mut TraceScope::over(track.as_mut()),
-                        );
-                    }
+                    counts.failed += fulfil(
+                        request,
+                        outcome,
+                        dispatch,
+                        size,
+                        &mut tally,
+                        &mut samples,
+                        &mut TraceScope::over(track.as_mut()),
+                    );
                     // Quarantine: the worker's arrays take too many
                     // uncorrectable hits, so drain it (its counters are
-                    // already banked, its tickets resolved) through the
+                    // already banked, its ticket resolved) through the
                     // same re-clone that contains panics.
                     let quarantine = verdict == Some(HealthVerdict::Quarantine);
                     if quarantine {
                         counts.quarantines += 1;
                         if let Some(track) = track.as_mut() {
-                            track.instant("quarantine", [Some(("request", unit_id)), None]);
+                            track.instant("quarantine", [Some(("request", request_id)), None]);
                         }
                     }
                     quarantine
                 }
                 Err(_) => {
                     counts.worker_restarts += 1;
-                    outcomes.clear();
                     if let Some(track) = track.as_mut() {
                         track.abandon_open();
-                        track.instant("worker-restart", [Some(("request", unit_id)), None]);
+                        track.instant("worker-restart", [Some(("request", request_id)), None]);
                     }
-                    // Back to front, so the unit keeps its order at the
-                    // head of the queue.
-                    for mut request in pending.drain(..unit_len).rev() {
-                        request.attempts += 1;
-                        if request.attempts <= config.retry_limit() {
-                            counts.retries += 1;
-                            if let Some(track) = track.as_mut() {
-                                track.instant("retry", [Some(("request", request.id)), None]);
-                            }
-                            queue.requeue(request);
-                        } else {
-                            let attempts = request.attempts;
-                            if let Some(track) = track.as_mut() {
-                                track.instant(
-                                    "retries-exhausted",
-                                    [Some(("request", request.id)), None],
-                                );
-                            }
-                            request
-                                .slot
-                                .complete(Err(ServeError::RetriesExhausted { attempts }));
-                            counts.failed += 1;
+                    request.attempts += 1;
+                    if request.attempts <= config.retry_limit() {
+                        counts.retries += 1;
+                        if let Some(track) = track.as_mut() {
+                            track.instant("retry", [Some(("request", request_id)), None]);
                         }
+                        queue.requeue(request);
+                    } else {
+                        let attempts = request.attempts;
+                        if let Some(track) = track.as_mut() {
+                            track.instant(
+                                "retries-exhausted",
+                                [Some(("request", request_id)), None],
+                            );
+                        }
+                        request
+                            .slot
+                            .complete(Err(ServeError::RetriesExhausted { attempts }));
+                        counts.failed += 1;
                     }
                     true
                 }
@@ -938,7 +895,9 @@ pub struct ServiceReport {
     /// (a propagated energy-model error), `None` on the happy path.
     pub modeling_error: Option<String>,
     /// Worker pipelines discarded and restarted from the pristine template
-    /// after an execution attempt panicked (injected or genuine).
+    /// after an execution attempt panicked (injected or genuine). Each
+    /// attempt is one request, so this equals [`retries`](Self::retries)
+    /// plus the requests resolved with [`ServeError::RetriesExhausted`].
     pub worker_restarts: u64,
     /// Requests re-enqueued after unwinding out of a crashed attempt.
     pub retries: u64,

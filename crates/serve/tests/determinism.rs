@@ -150,10 +150,11 @@ fn six_transistor_baseline_serves_identically_too() {
 }
 
 #[test]
-fn block_path_batches_are_bit_identical_across_worker_counts() {
-    // Greedy batches big enough to clear the 64-lane threshold push the
-    // workers onto the bit-sliced block kernel; every response must still
-    // match the sequential walk exactly, at any worker count.
+fn lane_wide_batches_are_bit_identical_across_worker_counts() {
+    // Greedy batches of 64 or more requests, a full bit-sliced lane
+    // width, are served one request at a time like any other batch; every
+    // response must match the sequential walk exactly, at any worker
+    // count.
     let system = system(BitcellKind::multiport(4).unwrap());
     let batch = frames(160, 31);
     let expected = sequential_reference(&system, &batch);
@@ -171,14 +172,14 @@ fn block_path_batches_are_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn slice_aligned_batches_are_bit_identical_under_every_admission_policy() {
-    // Slice-width-aligned batching (the block path's preferred shape) must
+fn deadline_batches_are_bit_identical_under_every_admission_policy() {
+    // Batches that wait up to 200 µs to coalesce up to 128 requests must
     // stay exact under every admission policy; capacity is large enough
     // that nothing is shed.
     let system = system(BitcellKind::multiport(4).unwrap());
     let batch = frames(130, 37);
     let expected = sequential_reference(&system, &batch);
-    let policy = BatchPolicy::new(128, Duration::from_micros(200)).slice_aligned(64);
+    let policy = BatchPolicy::new(128, Duration::from_micros(200));
     for admission in [
         AdmissionPolicy::Block,
         AdmissionPolicy::Reject,
@@ -192,7 +193,7 @@ fn slice_aligned_batches_are_bit_identical_under_every_admission_policy() {
                 .queue_capacity(256)
                 .admission(admission)
                 .batch(policy),
-            &format!("slice-aligned, {}", admission.name()),
+            &format!("deadline batch, {}", admission.name()),
         );
     }
 }
