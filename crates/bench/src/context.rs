@@ -15,7 +15,7 @@ use crate::BenchError;
 /// How much training budget to spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fidelity {
-    /// Full budget (the EXPERIMENTS.md numbers): ~4k samples, 12 epochs.
+    /// Full budget (`repro` without `--quick`): ~4k samples, 12 epochs.
     #[default]
     Full,
     /// Reduced budget for benches/tests: ~1.2k samples, 5 epochs.

@@ -43,8 +43,8 @@ pub fn fig7_table() -> Result<Table, BenchError> {
     Ok(table)
 }
 
-/// Key Fig. 7 scalars for assertions and EXPERIMENTS.md: energy saving of
-/// 500 mV vs 700 mV and of 400 mV vs 500 mV for a given port count.
+/// Key Fig. 7 scalars for assertions: energy saving of 500 mV vs 700 mV
+/// and of 400 mV vs 500 mV for a given port count.
 pub fn fig7_savings(ports: u8) -> Result<(f64, f64), BenchError> {
     let energy_at = |mv: f64| -> Result<f64, BenchError> {
         let cell = BitcellKind::multiport(ports).expect("1..=4 ports");

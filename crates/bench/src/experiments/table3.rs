@@ -116,7 +116,7 @@ pub fn table3_table(four_port: &SystemMetrics, accuracy_percent: f64) -> Table {
         format!("{:.0} pJ", paper::SYSTEM_ENERGY_PER_INF_PJ),
     ]);
     table.note("* inferred by the paper from SOP/s/mm², area and pJ/SOP");
-    table.note("** on the synthetic digit set (MNIST is unavailable offline; see DESIGN.md)");
+    table.note("** on the synthetic digit set (MNIST is unavailable offline; see README.md, \"Which `repro` id reproduces what\")");
     table
 }
 

@@ -192,16 +192,16 @@ pub fn run_experiments(
             }
             "observe" => {
                 let results = experiments::observe::observe_results(samples)?;
+                let overhead =
+                    experiments::observe::overhead_line(experiments::observe::noop_overhead_pct()?);
                 if json {
                     println!("{}", experiments::observe::observe_json(&results));
                     // The one wall-clock figure stays off stdout so the
                     // JSON snapshot is byte-for-byte reproducible.
-                    eprintln!(
-                        "[observe] no-op tracer overhead on the inference hot path: {:+.2}% over {} frames (acceptance < 2%)",
-                        results.overhead_pct, results.overhead_frames
-                    );
+                    eprintln!("[observe] {overhead}");
                 } else {
                     println!("{}", experiments::observe::observe_table(&results));
+                    println!("{overhead}");
                 }
                 if let Ok(dir) = std::env::var("ESAM_OBSERVE_DIR") {
                     match experiments::observe::write_artifacts(

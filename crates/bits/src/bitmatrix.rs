@@ -135,6 +135,15 @@ impl BitMatrix {
         &self.words[row * self.words_per_row..(row + 1) * self.words_per_row]
     }
 
+    /// Every packed storage word, rows back to back: row `r` is
+    /// `words()[r * w..(r + 1) * w]` with `w = cols().div_ceil(64)`, each
+    /// laid out as [`row_words`](Self::row_words) describes (tail bits
+    /// zero). One slice for a walk over all rows, with no per-row call.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Copies row `row` into `dst` without allocating — the hot-path form
     /// of [`row`](Self::row), a straight word-slice copy.
     ///
@@ -188,24 +197,6 @@ impl BitMatrix {
         assert_eq!(bits.len(), self.cols, "row width mismatch");
         self.words[row * self.words_per_row..(row + 1) * self.words_per_row]
             .copy_from_slice(bits.words());
-    }
-
-    /// Overwrites column `col` with `bits` (a transposed-port write), one
-    /// masked word update per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range or `bits.len() != rows()`.
-    pub fn set_column(&mut self, col: usize, bits: &BitVec) {
-        assert!(col < self.cols, "column {col} out of range {}", self.cols);
-        assert_eq!(bits.len(), self.rows, "column height mismatch");
-        let (cw, cb) = (col / WORD_BITS, col % WORD_BITS);
-        let src = bits.words();
-        for r in 0..self.rows {
-            let bit = (src[r / WORD_BITS] >> (r % WORD_BITS)) & 1;
-            let word = &mut self.words[r * self.words_per_row + cw];
-            *word = (*word & !(1u64 << cb)) | (bit << cb);
-        }
     }
 
     /// The transpose: a `cols × rows` matrix whose row `c` is column `c`
@@ -307,9 +298,6 @@ mod tests {
         let mut m = BitMatrix::new(4, 4);
         m.set_row(1, &BitVec::from_indices(4, &[0, 3]));
         assert!(m.get(1, 0) && m.get(1, 3));
-        m.set_column(0, &BitVec::from_indices(4, &[2]));
-        assert!(!m.get(1, 0), "column write overwrites prior row write");
-        assert!(m.get(2, 0));
     }
 
     #[test]
@@ -349,6 +337,22 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn copy_row_into_rejects_wrong_width() {
         BitMatrix::new(2, 10).copy_row_into(0, &mut BitVec::new(9));
+    }
+
+    #[test]
+    fn words_lay_the_rows_back_to_back() {
+        for (rows, cols) in [(1, 1), (3, 64), (5, 65), (4, 130), (128, 128)] {
+            let m = BitMatrix::from_fn(rows, cols, |r, c| (r * 13 + c * 5) % 3 == 0);
+            let per_row = cols.div_ceil(64);
+            assert_eq!(m.words().len(), rows * per_row, "{rows}x{cols}");
+            for (r, row) in m.words().chunks_exact(per_row).enumerate() {
+                assert_eq!(row, m.row_words(r), "{rows}x{cols} row {r}");
+                // Canonical tail: bits ≥ cols % 64 of the last word are zero.
+                if cols % 64 != 0 {
+                    assert_eq!(row[per_row - 1] >> (cols % 64), 0, "{rows}x{cols} row {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -91,21 +91,4 @@ proptest! {
         let total: usize = (0..rows).map(|r| m.row(r).count_ones()).sum();
         prop_assert_eq!(total, m.count_ones());
     }
-
-    #[test]
-    fn matrix_set_column_roundtrip(
-        rows in 1usize..30,
-        cols in 1usize..30,
-        col_bits in bools(30),
-    ) {
-        let mut m = BitMatrix::new(rows, cols);
-        let column: BitVec = (0..rows).map(|r| col_bits[r % col_bits.len()]).collect();
-        let target = cols / 2;
-        m.set_column(target, &column);
-        prop_assert_eq!(m.column(target), column);
-        // Other columns untouched.
-        for c in (0..cols).filter(|&c| c != target) {
-            prop_assert_eq!(m.column(c).count_ones(), 0);
-        }
-    }
 }

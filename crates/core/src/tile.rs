@@ -916,7 +916,7 @@ impl Tile {
             && self.inputs as i64 <= i64::from(clamp_guard)
             && self.is_drained()
             && !self.neurons.spike_requests().any()
-            && self.membranes().iter().all(|&m| m == 0)
+            && self.membranes().iter().fold(0, |any, &m| any | m) == 0
     }
 
     /// Processes one whole frame in closed form — the frame kernel
@@ -930,9 +930,9 @@ impl Tile {
     /// group `rg` and `n` in all:
     ///
     /// * membrane `j` is `2·ones_j − n`, where `ones_j` is `Σ_rg
-    ///   popcount(x_rg ∧ column_j)` over the column view
-    ///   ([`SramArray::column_words`]), and neuron `j` fires when it
-    ///   reaches its threshold;
+    ///   popcount(x_rg ∧ column_j)` over the column view, walked as one
+    ///   slice per array ([`SramArray::column_view`]), and neuron `j` fires
+    ///   when it reaches its threshold;
     /// * the cycles are `max_rg ⌈n_rg / p⌉ + 1`: each arbiter grants `p`
     ///   rows per cycle and the groups drain in parallel;
     /// * each array of row group `rg` adds `n_rg` inference reads and
@@ -963,7 +963,7 @@ impl Tile {
         &mut self,
         input: &BitVec,
         fired: &mut BitVec,
-        mut membranes_out: Option<&mut [i32]>,
+        membranes_out: Option<&mut [i32]>,
     ) -> Result<u64, CoreError> {
         if input.len() != self.inputs {
             return Err(CoreError::InputWidthMismatch {
@@ -989,55 +989,56 @@ impl Tile {
             "frame kernel needs zeroed membranes"
         );
 
-        // Per row group: its spike count fixes its reads and serve cycles;
-        // per block column, the spiking rows holding a 1 are the column
-        // word ANDed with the group's frame window. Whatever they do not
+        // Per row group: its spike count fixes its reads and serve cycles.
+        // The group's frame window is one word for up to 64 rows and two
+        // otherwise, the same as a column of each of its arrays, so the
+        // spiking rows of column `c` holding a 1 are chunk `c` of the
+        // array's column view ANDed with the window. Whatever they do not
         // hold is a zero bit the rows would have returned.
-        let spikes = input.words();
         let ports = self.grants_per_cycle as u64;
         let (mut total, mut serve) = (0u64, 0u64);
         let ones = &mut self.frame_ones;
         ones.fill(0);
-        for rg in 0..self.row_groups {
-            let window = &spikes[rg * GROUP_WORDS..((rg + 1) * GROUP_WORDS).min(spikes.len())];
+        let windows = input.words().chunks(GROUP_WORDS);
+        let blocks = self.weights.arrays.chunks(self.col_groups);
+        let block_stats = self.array_stats.chunks_mut(self.col_groups);
+        for (window, (arrays, stats)) in windows.zip(blocks.zip(block_stats)) {
             let count: u64 = window.iter().map(|w| u64::from(w.count_ones())).sum();
             if count == 0 {
                 continue;
             }
             total += count;
             serve = serve.max(count.div_ceil(ports));
-            for cg in 0..self.col_groups {
-                let index = rg * self.col_groups + cg;
-                let array = &self.weights.arrays[index];
-                let cols = array.config().cols();
-                let mut block_ones = 0u64;
-                for (col, slot) in ones[cg * ARRAY_DIM..cg * ARRAY_DIM + cols]
-                    .iter_mut()
-                    .enumerate()
-                {
-                    let hits = column_hits(array.column_words(col), window);
-                    *slot += hits;
-                    block_ones += u64::from(hits);
-                }
-                let stats = &mut self.array_stats[index];
+            let columns = arrays.iter().zip(stats).zip(ones.chunks_mut(ARRAY_DIM));
+            for ((array, stats), slots) in columns {
+                let view = array.column_view();
+                let block_ones = match *window {
+                    [x] => accumulate_hits([x], view, slots),
+                    [x0, x1] => accumulate_hits([x0, x1], view, slots),
+                    _ => unreachable!("a row group spans one or two words"),
+                };
                 stats.inference_reads += count;
-                stats.inference_zero_bits += count * cols as u64 - block_ones;
+                stats.inference_zero_bits += count * array.config().cols() as u64 - block_ones;
             }
         }
 
-        // Compare and fire: with zeroed start and no mid-frame clamp, each
-        // 1-weight spike adds 1 and each 0-weight spike subtracts 1.
-        let fired_words = fired.words_mut();
-        fired_words.fill(0);
-        for (output, (&column_ones, &threshold)) in
-            ones.iter().zip(self.neurons.thresholds()).enumerate()
-        {
-            let membrane = 2 * column_ones as i32 - total as i32;
-            if let Some(out) = membranes_out.as_deref_mut() {
-                out[output] = membrane;
+        // Compare and fire a word of outputs at a time, folding from the
+        // word's last output so each verdict shifts into its bit: with
+        // zeroed start and no mid-frame clamp, each 1-weight spike adds 1
+        // and each 0-weight spike subtracts 1.
+        let membrane = |column_ones: u32| 2 * column_ones as i32 - total as i32;
+        let words = ones.chunks(BitVec::WORD_BITS);
+        let thresholds = self.neurons.thresholds().chunks(BitVec::WORD_BITS);
+        for (word, (ones, thresholds)) in fired.words_mut().iter_mut().zip(words.zip(thresholds)) {
+            let fires = ones.iter().zip(thresholds).map(|(&o, &t)| membrane(o) >= t);
+            *word = fires
+                .rev()
+                .fold(0, |word, fire| word << 1 | u64::from(fire));
+        }
+        if let Some(out) = membranes_out {
+            for (slot, &column_ones) in out.iter_mut().zip(ones.iter()) {
+                *slot = membrane(column_ones);
             }
-            fired_words[output / BitVec::WORD_BITS] |=
-                u64::from(membrane >= threshold) << (output % BitVec::WORD_BITS);
         }
 
         let cycles = serve + 1;
@@ -1274,19 +1275,25 @@ impl Tile {
     }
 }
 
-/// The spiking rows of one block column that hold a 1: `Σ popcount(column
-/// ∧ window)`, with the full two-word group spelled out so the hot loop
-/// unrolls.
+/// One array's share of [`Tile::step_frame`]: walks its column view
+/// (`W`-word columns back to back) beside the array's output slots, adds
+/// each column's hits `popcount(column ∧ window)` — the spiking rows
+/// holding a 1 — into its slot, and returns the hits summed over the
+/// array. `W` is a constant, so each column is one fixed-width AND and
+/// popcount with no per-column call or bounds check.
 #[inline]
-fn column_hits(column: &[u64], window: &[u64]) -> u32 {
-    match (column, window) {
-        ([c0, c1], [x0, x1]) => (c0 & x0).count_ones() + (c1 & x1).count_ones(),
-        _ => column
+fn accumulate_hits<const W: usize>(window: [u64; W], view: &[u64], slots: &mut [u32]) -> u64 {
+    let mut block_ones = 0u64;
+    for (column, slot) in view.chunks_exact(W).zip(slots) {
+        let hits: u32 = column
             .iter()
             .zip(window)
-            .map(|(&c, &x)| (c & x).count_ones())
-            .sum(),
+            .map(|(&c, x)| (c & x).count_ones())
+            .sum();
+        *slot += hits;
+        block_ones += u64::from(hits);
     }
+    block_ones
 }
 
 /// Width of block `index` when splitting `total` into 128-wide groups.

@@ -17,6 +17,7 @@ use esam_bits::{BitMatrix, BitVec};
 
 use crate::bnn::{argmax, BnnNetwork};
 use crate::error::NnError;
+use crate::matrix::Matrix;
 
 /// One converted layer: synapse bits plus integer thresholds.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,9 +89,7 @@ impl SnnModel {
             .layers()
             .iter()
             .map(|layer| {
-                let bits = BitMatrix::from_fn(layer.inputs(), layer.outputs(), |pre, post| {
-                    layer.binary_weight(post, pre) > 0.0
-                });
+                let bits = packed_bits(layer.latent());
                 let thresholds = layer
                     .bias()
                     .iter()
@@ -205,6 +204,30 @@ impl SnnModel {
     }
 }
 
+/// The synapse bits of a layer, `bits[pre][post]`, from its latent
+/// weights (`latent[post][pre]`). Each latent row — one output neuron's
+/// fan-in — is packed a word at a time with `w >= 0.0`, which is
+/// `binarize(w) > 0.0` (−0.0 packs a 1, NaN a 0), into row `post` of the
+/// transpose; [`BitMatrix::transposed`] then turns it round.
+fn packed_bits(latent: &Matrix) -> BitMatrix {
+    let mut by_post = BitMatrix::new(latent.rows(), latent.cols());
+    let mut row = BitVec::new(latent.cols());
+    for post in 0..latent.rows() {
+        for (word, weights) in row
+            .words_mut()
+            .iter_mut()
+            .zip(latent.row(post).chunks(BitVec::WORD_BITS))
+        {
+            *word = weights
+                .iter()
+                .rev()
+                .fold(0, |word, &w| word << 1 | u64::from(w >= 0.0));
+        }
+        by_post.set_row(post, &row);
+    }
+    by_post.transposed()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,6 +259,34 @@ mod tests {
                 let expected = net.layers()[0].binary_weight(post, pre) > 0.0;
                 assert_eq!(model.layers()[0].bits().get(pre, post), expected);
             }
+        }
+    }
+
+    #[test]
+    fn packed_bits_match_the_per_bit_build() {
+        // Signed zeros and NaN at chosen sites, on both sides of every
+        // word boundary of the packed rows.
+        for inputs in [1, 63, 64, 65, 130] {
+            let mut net = BnnNetwork::new(&[inputs, 3], inputs as u64).unwrap();
+            let latent = net.layers_mut()[0].latent_mut();
+            for (post, pre, w) in [
+                (0, 0, -0.0),
+                (1, 0, 0.0),
+                (2, 0, f32::NAN),
+                (0, inputs - 1, f32::NAN),
+                (1, inputs - 1, -0.0),
+                (2, inputs / 2, 0.0),
+                (0, inputs / 2, -f32::NAN),
+            ] {
+                *latent.get_mut(post, pre) = w;
+            }
+            let layer = &net.layers()[0];
+            let per_bit =
+                BitMatrix::from_fn(inputs, 3, |pre, post| layer.binary_weight(post, pre) > 0.0);
+            let packed = packed_bits(layer.latent());
+            assert_eq!(packed, per_bit, "fan-in {inputs}");
+            assert!(packed.get(inputs - 1, 1), "fan-in {inputs}: -0.0 packs a 1");
+            assert!(!packed.get(inputs - 1, 0), "fan-in {inputs}: NaN packs a 0");
         }
     }
 

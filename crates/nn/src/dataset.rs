@@ -10,8 +10,8 @@
 //! Each sample is a digit glyph randomly shifted, sheared, thickened and
 //! corrupted with per-pixel noise, seeded through ChaCha8 so every run of
 //! every experiment sees the same data. The substitution is documented in
-//! `DESIGN.md`; accuracy on this set is a *shape* check against the paper's
-//! 97.64 %, not a number match.
+//! the README's "Which `repro` id reproduces what"; accuracy on this set is
+//! a *shape* check against the paper's 97.64 %, not a number match.
 
 use esam_bits::BitVec;
 use rand::seq::SliceRandom;

@@ -14,8 +14,9 @@
 //! same bits — the software form of the transposable port, which makes a
 //! weight column a native access (§3.2, §4.4.1).
 //! [`column_words`](SramArray::column_words) hands out a column as packed
-//! words; the transposed read and the closed-form frame kernel of
-//! `esam-core` consume it. Every mutator (bulk load, bit flip, scrub heal
+//! words, and [`column_view`](SramArray::column_view) every column as one
+//! slice; the transposed read and the closed-form frame kernel of
+//! `esam-core` consume them. Every mutator (bulk load, bit flip, scrub heal
 //! and reload, transposed and row-wise writes) updates both copies in the
 //! same call, and both stores are private, so the view is coherent by
 //! construction. A transposed write copies the new column into the view
@@ -166,6 +167,15 @@ impl SramArray {
     #[inline]
     pub fn column_words(&self, col: usize) -> &[u64] {
         self.columns.row_words(col)
+    }
+
+    /// The whole column view as one word slice, columns back to back:
+    /// chunk `c` of `chunks_exact(rows().div_ceil(64))` is
+    /// [`column_words(c)`](Self::column_words). A walk over every column
+    /// reads it with no per-column call. Uncounted, like `column_words`.
+    #[inline]
+    pub fn column_view(&self) -> &[u64] {
+        self.columns.words()
     }
 
     /// Access counters accumulated so far.
@@ -1065,6 +1075,56 @@ mod tests {
             a.energy_for_stats(&writes),
             Err(SramError::WriteMargin(_))
         ));
+    }
+
+    /// Chunk `c` of the column view is `column_words(c)`, for every `c`.
+    fn assert_view_is_the_column_words(a: &SramArray, label: &str) {
+        let per_column = a.config().rows().div_ceil(BitVec::WORD_BITS);
+        let view = a.column_view();
+        assert_eq!(view.len(), a.config().cols() * per_column, "{label}");
+        for (c, chunk) in view.chunks_exact(per_column).enumerate() {
+            assert_eq!(chunk, a.column_words(c), "{label}: column {c}");
+            assert_eq!(chunk, a.bits().column(c).words(), "{label}: column {c}");
+        }
+    }
+
+    #[test]
+    fn column_view_chunks_are_the_column_words_after_every_mutator() {
+        // 40 and 64 rows give one-word columns, 68 and 128 two-word ones
+        // (row counts are multiples of the 4:1 row mux).
+        for rows in [40usize, 64, 68, 128] {
+            let golden = BitMatrix::from_fn(rows, 100, |r, c| (r * 7 + c * 3) % 5 < 2);
+            for cell in [BitcellKind::Std6T, BitcellKind::multiport(4).unwrap()] {
+                let label = format!("{rows} rows {cell}");
+                let config = ArrayConfig::builder(rows, 100, cell).build().unwrap();
+                let mut a = SramArray::new(config);
+                assert_view_is_the_column_words(&a, &format!("{label}: fresh"));
+                a.load_weights(&golden).unwrap();
+                assert_view_is_the_column_words(&a, &format!("{label}: load"));
+                a.flip_bit(rows - 1, 99).unwrap();
+                assert_view_is_the_column_words(&a, &format!("{label}: flip"));
+                if cell.is_transposable() {
+                    let column = BitVec::from_indices(rows, &[0, 1, rows - 1]);
+                    a.transposed_write(64, &column).unwrap();
+                } else {
+                    let row = BitVec::from_indices(100, &[0, 63, 64, 99]);
+                    a.rowwise_write(rows / 2, &row).unwrap();
+                }
+                assert_view_is_the_column_words(&a, &format!("{label}: learning write"));
+                a.enable_ecc();
+                let mut tally = IntegrityTally::default();
+                for mode in [IntegrityMode::Correct, IntegrityMode::Detect] {
+                    // One single-bit row (healed in place under Correct)
+                    // and one double-bit row (reloaded from golden).
+                    for (row, col) in [(3, 10), (5, 20), (5, 21)] {
+                        a.flip_bit(row, col).unwrap();
+                    }
+                    a.scrub_audited(&golden, mode, &mut tally).unwrap();
+                    assert_eq!(*a.bits(), golden, "{label}: {mode:?} scrub");
+                    assert_view_is_the_column_words(&a, &format!("{label}: {mode:?} scrub"));
+                }
+            }
+        }
     }
 
     #[test]

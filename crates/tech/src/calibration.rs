@@ -4,8 +4,9 @@
 //! (drive strengths, wire parasitics, leakage densities). Those coefficients
 //! are chosen once, here, so that the model reproduces the datapoints the
 //! paper reports from Spectre/Genus on IMEC's 3nm FinFET PDK. Each constant
-//! cites the paper location it is anchored to, and `EXPERIMENTS.md` records
-//! model-vs-paper for every figure and table.
+//! cites the paper location it is anchored to, and each `repro` experiment
+//! prints its figure or table beside the paper's values (the README's
+//! "Which `repro` id reproduces what" maps them).
 //!
 //! Nothing outside this module hard-codes paper numbers: the experiments are
 //! *computed* from the physical models, and the constants below are only used

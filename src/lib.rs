@@ -49,9 +49,10 @@
 //! ```
 //!
 //! See `examples/` for end-to-end digit classification, online learning
-//! under distribution shift, and design-space exploration; `DESIGN.md` for
-//! the architecture and substitutions; `EXPERIMENTS.md` for paper-vs-measured
-//! results.
+//! under distribution shift, and design-space exploration; `ARCHITECTURE.md`
+//! for the architecture; and the README's "Which `repro` id reproduces
+//! what" for the experiment behind each paper artifact and the synthetic
+//! digit set that stands in for MNIST.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
