@@ -230,11 +230,14 @@ impl EsamSystem {
     /// track's cursor by the frame's full latency. Every recorded event is
     /// `Copy` into the track's preallocated ring, so the hot path stays
     /// allocation-free with tracing *on*; with [`TraceScope::Off`] the
-    /// whole addition is one branch.
+    /// whole addition is one branch. The function is `#[inline]` so that
+    /// branch folds away in another crate too: a caller passing `Off`
+    /// compiles to the same code as one calling `infer`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InputWidthMismatch`] for a wrong input width.
+    #[inline]
     pub fn infer_scoped(
         &mut self,
         input: &BitVec,

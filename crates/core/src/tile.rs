@@ -1022,22 +1022,11 @@ impl Tile {
             }
         }
 
-        // Compare and fire a word of outputs at a time, folding from the
-        // word's last output so each verdict shifts into its bit: with
-        // zeroed start and no mid-frame clamp, each 1-weight spike adds 1
-        // and each 0-weight spike subtracts 1.
-        let membrane = |column_ones: u32| 2 * column_ones as i32 - total as i32;
-        let words = ones.chunks(BitVec::WORD_BITS);
-        let thresholds = self.neurons.thresholds().chunks(BitVec::WORD_BITS);
-        for (word, (ones, thresholds)) in fired.words_mut().iter_mut().zip(words.zip(thresholds)) {
-            let fires = ones.iter().zip(thresholds).map(|(&o, &t)| membrane(o) >= t);
-            *word = fires
-                .rev()
-                .fold(0, |word, fire| word << 1 | u64::from(fire));
-        }
+        let spikes = total as i32;
+        fire_words(fired.words_mut(), ones, self.neurons.thresholds(), spikes);
         if let Some(out) = membranes_out {
             for (slot, &column_ones) in out.iter_mut().zip(ones.iter()) {
-                *slot = membrane(column_ones);
+                *slot = membrane(column_ones, spikes);
             }
         }
 
@@ -1294,6 +1283,40 @@ fn accumulate_hits<const W: usize>(window: [u64; W], view: &[u64], slots: &mut [
         block_ones += u64::from(hits);
     }
     block_ones
+}
+
+/// The frame kernel's membrane, `2·ones − spikes`, for a neuron whose
+/// column holds `ones` 1-weights among `spikes` spiking rows: with zeroed
+/// start and no mid-frame clamp, each 1-weight spike adds 1 and each
+/// 0-weight spike subtracts 1.
+fn membrane(ones: u32, spikes: i32) -> i32 {
+    2 * ones as i32 - spikes
+}
+
+/// Multiplying eight 0/1 bytes by this moves byte `i` to bit `56 + i`:
+/// byte `i` (bit `8i`) times factor bit `7k + 7` lands on bit
+/// `8i + 7k + 7`, which is `56 + i` for `k = 7 − i`. No two of these
+/// products share a bit, so nothing carries.
+const PACK_VERDICTS: u64 = 0x0102_0408_1020_4080;
+
+/// Fires `ones.len()` outputs into `fired`, one word per 64: output `j`
+/// fires when its [`membrane`] reaches `thresholds[j]`. A word's verdicts
+/// land one per byte, then each multiply by [`PACK_VERDICTS`] packs eight
+/// into their bits. Bits past the last output are written 0.
+fn fire_words(fired: &mut [u64], ones: &[u32], thresholds: &[i32], spikes: i32) {
+    let outputs = ones
+        .chunks(BitVec::WORD_BITS)
+        .zip(thresholds.chunks(BitVec::WORD_BITS));
+    for (word, (ones, thresholds)) in fired.iter_mut().zip(outputs) {
+        let mut verdicts = [0u8; BitVec::WORD_BITS];
+        for ((verdict, &o), &t) in verdicts.iter_mut().zip(ones).zip(thresholds) {
+            *verdict = u8::from(membrane(o, spikes) >= t);
+        }
+        let (bytes, _) = verdicts.as_chunks::<8>();
+        *word = bytes.iter().enumerate().fold(0, |word, (i, &eight)| {
+            word | (u64::from_le_bytes(eight).wrapping_mul(PACK_VERDICTS) >> 56) << (8 * i)
+        });
+    }
 }
 
 /// Width of block `index` when splitting `total` into 128-wide groups.
@@ -1658,6 +1681,36 @@ mod tests {
         let a4 = tile(256, 256, BitcellKind::multiport(4).unwrap());
         assert!(a4.area().value() > 2.0 * a6.area().value());
         assert!(a4.leakage_power().value() > a6.leakage_power().value());
+    }
+
+    #[test]
+    fn packed_fire_matches_a_per_output_compare() {
+        // Membranes spread over the whole 153-spike range. Each threshold
+        // sits at its membrane, one above it or one below it in turn, so
+        // the verdicts repeat fire, hold, fire out of step with the bytes
+        // they are packed from: a packing that reorders a byte's bits
+        // reads wrong.
+        let spikes = 153;
+        for outputs in [1, 10, 63, 64, 65, 129, 256] {
+            let ones: Vec<u32> = (0..outputs).map(|j| (j * 37 % 154) as u32).collect();
+            let thresholds: Vec<i32> = (0..outputs)
+                .map(|j| membrane(ones[j], spikes) + [0, 1, -1][j % 3])
+                .collect();
+            let mut fired = vec![u64::MAX; outputs.div_ceil(BitVec::WORD_BITS)];
+            fire_words(&mut fired, &ones, &thresholds, spikes);
+            for j in 0..outputs {
+                let bit = fired[j / BitVec::WORD_BITS] >> (j % BitVec::WORD_BITS) & 1 == 1;
+                let fires = membrane(ones[j], spikes) >= thresholds[j];
+                assert_eq!(bit, fires, "{outputs} outputs: output {j}");
+            }
+            let last = fired.len() - 1;
+            let tail = fired[last].checked_shr((outputs - last * BitVec::WORD_BITS) as u32);
+            assert_eq!(
+                tail.unwrap_or(0),
+                0,
+                "{outputs} outputs: bits past the last"
+            );
+        }
     }
 
     #[test]

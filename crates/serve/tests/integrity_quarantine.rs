@@ -121,10 +121,15 @@ fn a_lane_wide_batch_under_transient_faults_is_served_per_request() {
     // block kernel. Transient flips strike per frame and integrity checks
     // per read, which the block kernel cannot reproduce, so every request
     // must still run through `infer_checked` under its own id — with the
-    // oracle restore (Off) and with the SECDED ladder (Correct) alike.
+    // oracle restore (Off) and with the SECDED ladder (Detect, Correct)
+    // alike.
     let plan = FaultPlan::seeded(23, FaultConfig::none().with_weight_flip_rate(2e-3));
     let mut clean = small_system();
-    for mode in [IntegrityMode::Off, IntegrityMode::Correct] {
+    for mode in [
+        IntegrityMode::Off,
+        IntegrityMode::Detect,
+        IntegrityMode::Correct,
+    ] {
         // Set up as `EsamService::start` sets up its template: the plan
         // first, then the mode.
         let mut reference = small_system();
@@ -169,38 +174,44 @@ fn integrity_tally_is_identical_at_any_worker_count() {
     // The upset coordinate is the request id and the scrub runs after
     // every frame, so the folded IntegrityTally is a pure function of
     // (seed, request ids) — worker count and batch composition must not
-    // move a single counter.
+    // move a single counter, whether reads are repaired or only checked.
     let plan = FaultPlan::seeded(97, FaultConfig::none().with_weight_flip_rate(1e-3));
-    let mut reports = Vec::new();
-    let mut responses: Option<BTreeMap<u64, (usize, Vec<f32>)>> = None;
-    for workers in [1usize, 4] {
-        let service = EsamService::start(
-            &small_system(),
-            ServeConfig::with_workers(workers)
-                .faults(plan)
-                .integrity(IntegrityMode::Correct)
-                .health(HealthPolicy::uncorrectable_limit(u64::MAX)),
-        );
-        let outcomes = serve_all(&service, 56);
-        let digest: BTreeMap<u64, (usize, Vec<f32>)> = outcomes
-            .into_iter()
-            .map(|(id, outcome)| {
-                let response = outcome.expect("served");
-                (id, (response.prediction, response.logits))
-            })
-            .collect();
-        match &responses {
-            None => responses = Some(digest),
-            Some(first) => assert_eq!(first, &digest, "{workers} workers"),
+    for mode in [IntegrityMode::Correct, IntegrityMode::Detect] {
+        let mut reports = Vec::new();
+        let mut responses: Option<BTreeMap<u64, (usize, Vec<f32>)>> = None;
+        for workers in [1usize, 4] {
+            let service = EsamService::start(
+                &small_system(),
+                ServeConfig::with_workers(workers)
+                    .faults(plan)
+                    .integrity(mode)
+                    .health(HealthPolicy::uncorrectable_limit(u64::MAX)),
+            );
+            let outcomes = serve_all(&service, 56);
+            let digest: BTreeMap<u64, (usize, Vec<f32>)> = outcomes
+                .into_iter()
+                .map(|(id, outcome)| {
+                    let response = outcome.expect("served");
+                    (id, (response.prediction, response.logits))
+                })
+                .collect();
+            match &responses {
+                None => responses = Some(digest),
+                Some(first) => assert_eq!(first, &digest, "{mode:?}: {workers} workers"),
+            }
+            reports.push(service.shutdown());
         }
-        reports.push(service.shutdown());
+        let tallies: Vec<IntegrityTally> = reports.iter().map(|r| r.integrity).collect();
+        assert!(tallies[0].checked_reads > 0, "{mode:?}");
+        if mode == IntegrityMode::Correct {
+            assert!(tallies[0].corrected > 0);
+        } else {
+            assert!(tallies[0].detected > 0, "{mode:?}");
+        }
+        assert_eq!(tallies[0], tallies[1], "{mode:?}: 1 worker vs 4 workers");
+        // The limitless policy never fires, at any partition of the traffic.
+        assert!(reports.iter().all(|r| r.quarantines == 0), "{mode:?}");
     }
-    let tallies: Vec<IntegrityTally> = reports.iter().map(|r| r.integrity).collect();
-    assert!(tallies[0].checked_reads > 0);
-    assert!(tallies[0].corrected > 0);
-    assert_eq!(tallies[0], tallies[1], "1 worker vs 4 workers");
-    // The limitless policy never fires, at any partition of the traffic.
-    assert!(reports.iter().all(|r| r.quarantines == 0));
 }
 
 #[test]
