@@ -36,8 +36,9 @@ use crate::tile::Tile;
 ///
 /// Appends each tile's pipeline cycles (serve cycles plus the fire cycle)
 /// to `cycles`. `membranes`, when given, receives the last tile's
-/// pre-fire membrane potentials (the readout registers); `layer_inputs`,
-/// when given, receives a clone of the frame that entered each tile.
+/// pre-fire membrane potentials (the readout registers). The frame that
+/// entered tile `t > 0` stays readable after the walk as tile `t − 1`'s
+/// [`fired`](Tile::fired).
 ///
 /// # Errors
 ///
@@ -52,7 +53,6 @@ pub fn walk_frame(
     out: &mut BitVec,
     cycles: &mut Vec<u64>,
     membranes: Option<&mut Vec<i32>>,
-    mut layer_inputs: Option<&mut Vec<BitVec>>,
 ) -> Result<(), CoreError> {
     let (last, hidden) = tiles.split_last_mut().ok_or_else(empty_run)?;
     if out.len() != last.outputs() {
@@ -69,13 +69,12 @@ pub fn walk_frame(
         // The buffer leaves the tile for the step and goes back even when
         // the step fails.
         let mut fired = std::mem::take(tile.fired_mut());
-        let inputs = layer_inputs.as_deref_mut();
-        let served = step_tile(tile, entering, &mut fired, None, inputs);
+        let served = step_tile(tile, entering, &mut fired, None);
         *tile.fired_mut() = fired;
         cycles.push(served?);
     }
     let entering = hidden.last().map_or(input, Tile::fired);
-    cycles.push(step_tile(last, entering, out, membranes, layer_inputs)?);
+    cycles.push(step_tile(last, entering, out, membranes)?);
     Ok(())
 }
 
@@ -87,11 +86,7 @@ fn step_tile(
     input: &BitVec,
     fired: &mut BitVec,
     membranes: Option<&mut Vec<i32>>,
-    layer_inputs: Option<&mut Vec<BitVec>>,
 ) -> Result<u64, CoreError> {
-    if let Some(inputs) = layer_inputs {
-        inputs.push(input.clone());
-    }
     if tile.block_ready() && tile.integrity_mode() == IntegrityMode::Off {
         let readout = membranes.map(|out| {
             out.clear();

@@ -220,117 +220,6 @@ impl Default for BatchConfig {
     }
 }
 
-/// How a data-parallel learning epoch combines per-shard weight replicas
-/// (see [`BatchEngine::learn_epoch`](crate::batch::BatchEngine::learn_epoch)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WeightMergePolicy {
-    /// Each shard trains its own replica of the taught layer from the
-    /// pre-epoch weights; merged weight bits are the per-bit **majority
-    /// vote** across shard replicas, ties falling back to the pre-epoch
-    /// bit. Deterministic for a fixed seed and shard count at *any* thread
-    /// count, but not equal to a sequential walk of the whole epoch.
-    #[default]
-    MajorityVote,
-    /// Run the epoch as one sequential stream on the target system —
-    /// the exactness fallback: bit-identical to [`OnlineSession`]
-    /// (`seed ⊕ 0`) regardless of thread count, at sequential speed.
-    ///
-    /// [`OnlineSession`]: crate::learning::OnlineSession
-    Sequential,
-}
-
-/// Plan for one data-parallel online-learning epoch.
-///
-/// The epoch is split into [`shards`](Self::shards) *logical* shards of
-/// contiguous samples. Shard `i` learns with its own ChaCha stream seeded
-/// `seed ⊕ i`, so the work — and therefore the result — is a pure function
-/// of `(samples, rule, seed, shards, merge policy)`; threads only decide
-/// how many shards run concurrently. Keeping the shard count in the config
-/// (instead of deriving it from the thread count) is what makes an epoch
-/// reproducible across machines with different core counts.
-///
-/// # Examples
-///
-/// ```
-/// use esam_core::{EpochConfig, WeightMergePolicy};
-/// use esam_nn::StdpRule;
-///
-/// let epoch = EpochConfig::new(StdpRule::paper_default(), 7)
-///     .shards(8)
-///     .merge_policy(WeightMergePolicy::MajorityVote);
-/// assert_eq!(epoch.shards_count(), 8);
-/// assert_eq!(epoch.seed(), 7);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochConfig {
-    rule: esam_nn::StdpRule,
-    seed: u64,
-    shards: usize,
-    merge: WeightMergePolicy,
-    curve_interval: u64,
-}
-
-impl EpochConfig {
-    /// Default number of logical shards.
-    pub const DEFAULT_SHARDS: usize = 4;
-
-    /// A majority-vote epoch plan with [`DEFAULT_SHARDS`](Self::DEFAULT_SHARDS)
-    /// shards and the default curve interval.
-    pub fn new(rule: esam_nn::StdpRule, seed: u64) -> Self {
-        Self {
-            rule,
-            seed,
-            shards: Self::DEFAULT_SHARDS,
-            merge: WeightMergePolicy::default(),
-            curve_interval: crate::learning::LearningCurve::DEFAULT_INTERVAL,
-        }
-    }
-
-    /// Sets the number of logical shards (clamped to at least 1).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the weight-merge policy.
-    pub fn merge_policy(mut self, merge: WeightMergePolicy) -> Self {
-        self.merge = merge;
-        self
-    }
-
-    /// Sets the learning-curve checkpoint interval (samples per point;
-    /// clamped to at least 1).
-    pub fn curve_interval(mut self, interval: u64) -> Self {
-        self.curve_interval = interval.max(1);
-        self
-    }
-
-    /// The STDP rule applied by every shard.
-    pub fn rule(&self) -> esam_nn::StdpRule {
-        self.rule
-    }
-
-    /// The base seed; shard `i` learns with `seed ⊕ i`.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Number of logical shards.
-    pub fn shards_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The weight-merge policy.
-    pub fn merge_policy_kind(&self) -> WeightMergePolicy {
-        self.merge
-    }
-
-    /// The learning-curve checkpoint interval.
-    pub fn curve_interval_samples(&self) -> u64 {
-        self.curve_interval
-    }
-}
-
 /// Builder for [`SystemConfig`] (`C-BUILDER`).
 #[derive(Debug, Clone)]
 pub struct SystemConfigBuilder {

@@ -8,16 +8,22 @@
 //! `esam_nn::stdp` and reports the exact cycle/time/energy cost from the
 //! arrays' access counters.
 //!
-//! Two layers sit on top of the per-column [`OnlineLearningEngine`]:
+//! Two layers sit on top of the per-column [`OnlineLearningEngine`], and
+//! together they are the system's one way to learn:
 //!
 //! * [`EsamSystem::learn_sample`] closes the loop for one labelled sample —
 //!   infer, derive teacher signals from the observed output spike frame
 //!   ([`esam_nn::derive_teacher_signals`]), update the signalled output
 //!   columns through the transposed port;
-//! * [`OnlineSession`] streams many samples, accumulating a
+//! * [`OnlineSession`] streams many samples, one at a time, accumulating a
 //!   [`LearningTally`], a [`BatchTally`] and an accuracy-over-samples
 //!   [`LearningCurve`], and finalizes them into [`SystemMetrics`] whose
 //!   `learning` summary folds the training cost in.
+//!
+//! Under checked integrity ([`IntegrityMode::Detect`] /
+//! [`IntegrityMode::Correct`]) a learning write also updates the tile's
+//! golden image, so the scrub after a checked frame keeps what was learned
+//! instead of reloading the pre-learning weights.
 //!
 //! The functional trajectory is *cell-independent*: the same rule and seed
 //! produce bit-identical weights on multiport and 6T tiles — the cells
@@ -47,6 +53,8 @@
 //! [`SramArray::transposed_read_into`]: esam_sram::SramArray::transposed_read_into
 //! [`SramArray::rowwise_read_into`]: esam_sram::SramArray::rowwise_read_into
 //! [`SramArray::rowwise_write`]: esam_sram::SramArray::rowwise_write
+//! [`IntegrityMode::Detect`]: esam_sram::IntegrityMode::Detect
+//! [`IntegrityMode::Correct`]: esam_sram::IntegrityMode::Correct
 
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
@@ -144,7 +152,8 @@ impl OnlineLearningEngine {
     /// to be merged). Both run the same word-level update
     /// ([`StdpRule::update_column_in_place`]) on one row group's column at
     /// a time, drawing in ascending row order, so the cells learn the same
-    /// bits.
+    /// bits. Under checked integrity each written column also goes into the
+    /// tile's golden image, so the next scrub keeps it.
     ///
     /// # Errors
     ///
@@ -221,6 +230,7 @@ impl OnlineLearningEngine {
                 }
             }
         }
+        tile.refresh_golden_column(neuron);
 
         let mut cycles_after = 0u64;
         let mut energy_after = Joules::ZERO;
@@ -288,11 +298,7 @@ pub struct SampleOutcome {
 /// An accuracy-over-samples learning curve.
 ///
 /// Every `interval` samples a [`CurvePoint`] snapshots the *cumulative*
-/// `(samples, correct)` counts. Cumulative `u64` counts — rather than
-/// per-window accuracies — are what make shard curves mergeable exactly:
-/// [`merge_shards`](Self::merge_shards) sums the counts of point `k` across
-/// shards, in shard order, so the merged curve is independent of how many
-/// threads executed the shards.
+/// `(samples, correct)` counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearningCurve {
     interval: u64,
@@ -324,10 +330,7 @@ impl LearningCurve {
     pub const DEFAULT_INTERVAL: u64 = 25;
 
     /// Creates an empty curve that checkpoints every `interval` samples
-    /// (clamped to at least 1, as [`EpochConfig::curve_interval`] clamps
-    /// it).
-    ///
-    /// [`EpochConfig::curve_interval`]: crate::EpochConfig::curve_interval
+    /// (clamped to at least 1).
     pub fn new(interval: u64) -> Self {
         Self {
             interval: interval.max(1),
@@ -367,53 +370,6 @@ impl LearningCurve {
     /// Samples recorded so far.
     pub fn samples(&self) -> u64 {
         self.running.seen()
-    }
-
-    /// Merges per-shard curves into one epoch curve: point `k` of the
-    /// result sums the `(samples, correct)` counts of every shard's point
-    /// `k` (shards that ended before checkpoint `k` contribute their final
-    /// counts). Point `k` therefore reads "after every shard saw up to
-    /// `k × interval` of its samples" — a pure function of the shard
-    /// curves, independent of execution interleaving.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is empty or the intervals disagree.
-    pub fn merge_shards(shards: &[LearningCurve]) -> LearningCurve {
-        let interval = shards
-            .first()
-            .expect("merging at least one shard curve")
-            .interval;
-        assert!(
-            shards.iter().all(|s| s.interval == interval),
-            "shard curves must share one checkpoint interval"
-        );
-        let longest = shards.iter().map(|s| s.points.len()).max().unwrap_or(0);
-        let mut running = RunningAccuracy::new();
-        let mut points = Vec::with_capacity(longest);
-        for shard in shards {
-            running.merge(&shard.running);
-        }
-        for k in 0..longest {
-            let mut samples = 0u64;
-            let mut correct = 0u64;
-            for shard in shards {
-                // A shard past its last checkpoint contributes everything
-                // it saw (its counts stopped moving).
-                let point = shard.points.get(k).copied().unwrap_or(CurvePoint {
-                    samples: shard.running.seen(),
-                    correct: shard.running.correct(),
-                });
-                samples += point.samples;
-                correct += point.correct;
-            }
-            points.push(CurvePoint { samples, correct });
-        }
-        LearningCurve {
-            interval,
-            running,
-            points,
-        }
     }
 }
 

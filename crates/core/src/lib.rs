@@ -15,13 +15,13 @@
 //! sequential walk at any thread count (see [`metrics`] for the merge
 //! law).
 //!
-//! Online learning is a first-class workload, not just a costed micro-op:
-//! [`EsamSystem::learn_sample`] closes the loop (infer → teacher derivation
-//! → transposed-port STDP), [`OnlineSession`] streams labelled samples and
-//! records an accuracy-over-samples [`LearningCurve`], and
-//! [`BatchEngine::learn_epoch`] runs data-parallel epochs over fixed
-//! logical shards with deterministic per-shard ChaCha streams and a
-//! documented weight-merge policy (see [`WeightMergePolicy`]).
+//! Online learning is a first-class workload, not just a costed micro-op,
+//! and it has one path: [`EsamSystem::learn_sample`] closes the loop for a
+//! sample (infer → teacher derivation → transposed-port STDP), and
+//! [`OnlineSession`] streams labelled samples through it and records an
+//! accuracy-over-samples [`LearningCurve`]. Samples are learned one at a
+//! time, as the paper's chip learns them: each update changes the weights
+//! the next sample is inferred with.
 //!
 //! # Examples
 //!
@@ -71,10 +71,8 @@ pub mod system;
 pub mod tile;
 
 pub use adder_tree::{energy_crossover, sparsity_sweep, AdderTreeMacro, SparsityPoint};
-pub use batch::{BatchEngine, EpochResult, LabelledSample};
-pub use config::{
-    BatchConfig, EpochConfig, SystemConfig, SystemConfigBuilder, WeightMergePolicy, ARRAY_DIM,
-};
+pub use batch::BatchEngine;
+pub use config::{BatchConfig, SystemConfig, SystemConfigBuilder, ARRAY_DIM};
 pub use error::CoreError;
 pub use esam_obs::{TraceScope, TrackTrace};
 pub use esam_sram::{IntegrityMode, IntegrityTally, RowVerdict};
@@ -83,5 +81,5 @@ pub use learning::{
 };
 pub use metrics::{BatchTally, LearningSummary, LearningTally, SystemMetrics};
 pub use pipeline::{PipelineStage, PipelineTiming};
-pub use system::{EsamSystem, InferenceResult, TracedInference};
+pub use system::{EsamSystem, InferenceResult};
 pub use tile::{Tile, TileStats, TileWeights};

@@ -86,13 +86,7 @@ impl BatchTally {
     }
 }
 
-/// Aggregate cost/accuracy of an online-learning run (a session or one
-/// epoch shard).
-///
-/// The integer fields merge exactly; `cost` carries the float
-/// latency/energy sums, which shard merges fold in a *fixed shard order* so
-/// any thread count reproduces the same float result (see
-/// [`BatchEngine::learn_epoch`](crate::batch::BatchEngine::learn_epoch)).
+/// Aggregate cost/accuracy of an online-learning session.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LearningTally {
     /// Labelled samples processed.
@@ -112,14 +106,6 @@ impl LearningTally {
         self.correct += u64::from(outcome.correct);
         self.updates += outcome.updates as u64;
         self.cost += outcome.cost;
-    }
-
-    /// Adds another shard's tally into this one.
-    pub fn merge(&mut self, other: &LearningTally) {
-        self.samples += other.samples;
-        self.correct += other.correct;
-        self.updates += other.updates;
-        self.cost += other.cost;
     }
 
     /// Online accuracy: the fraction of samples the system predicted
@@ -248,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn learning_tally_accumulates_and_merges() {
+    fn learning_tally_accumulates() {
         let outcome = SampleOutcome {
             prediction: 3,
             label: 5,
@@ -276,11 +262,6 @@ mod tests {
         assert_eq!(tally.updates, 2);
         assert_eq!(tally.cost.cycles, 16);
         assert!((tally.online_accuracy() - 0.5).abs() < 1e-12);
-        let mut merged = LearningTally::default();
-        merged.merge(&tally);
-        merged.merge(&tally);
-        assert_eq!(merged.samples, 4);
-        assert_eq!(merged.cost.bits_flipped, 14);
         assert_eq!(LearningTally::default().online_accuracy(), 0.0);
     }
 

@@ -28,9 +28,9 @@ use crate::tile::Tile;
 ///
 /// Deliberately *does not* carry the inter-tile spike frames: cloning every
 /// frame per inference is a per-request allocation the serving/batch hot
-/// path must not pay. Callers that need the frames (tests, examples) use
-/// [`EsamSystem::infer_traced`], which returns a [`TracedInference`]
-/// wrapping this result.
+/// path must not pay. The cascade walk keeps each hidden tile's fired frame
+/// in the tile, so a caller that needs the frame that entered tile `t`
+/// reads tile `t − 1`'s [`fired`](Tile::fired) after the inference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferenceResult {
     /// Predicted class (argmax of the readout logits).
@@ -45,17 +45,6 @@ pub struct InferenceResult {
     pub output_spikes: BitVec,
     /// Clock cycles each tile spent on this inference (serve + fire).
     pub per_tile_cycles: Vec<u64>,
-}
-
-/// An inference with its inter-tile spike trace captured
-/// ([`EsamSystem::infer_traced`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracedInference {
-    /// The inference outcome (identical to what [`EsamSystem::infer`]
-    /// returns for the same frame).
-    pub result: InferenceResult,
-    /// The spike frame that entered each tile (`[0]` is the input).
-    pub layer_inputs: Vec<BitVec>,
 }
 
 impl InferenceResult {
@@ -207,14 +196,32 @@ impl EsamSystem {
     /// reproducing the BNN logits (see `esam_nn::convert`).
     ///
     /// This is the serving/batch hot path: it does **not** clone the
-    /// inter-tile spike frames. Use [`infer_traced`](Self::infer_traced)
-    /// when the per-layer frames are needed.
+    /// inter-tile spike frames. Each hidden tile keeps the frame it fired
+    /// ([`Tile::fired`]) until the next inference; under the frame kernel
+    /// the result's four buffers (spikes, cycles, membranes, logits) are
+    /// all a frame allocates.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InputWidthMismatch`] for a wrong input width.
     pub fn infer(&mut self, input: &BitVec) -> Result<InferenceResult, CoreError> {
-        self.infer_frame(input, None)
+        let classes = self.tiles.last().map_or(0, Tile::outputs);
+        let mut output_spikes = BitVec::new(classes);
+        let mut per_tile_cycles = Vec::with_capacity(self.tiles.len());
+        let mut membranes = Vec::with_capacity(classes);
+        walk_frame(
+            &mut self.tiles,
+            input,
+            &mut output_spikes,
+            &mut per_tile_cycles,
+            Some(&mut membranes),
+        )?;
+        Ok(InferenceResult::from_readout(
+            membranes,
+            &self.output_bias,
+            output_spikes,
+            per_tile_cycles,
+        ))
     }
 
     /// Runs one inference and attributes its modeled cycles to per-layer
@@ -250,56 +257,6 @@ impl EsamSystem {
             }
         }
         Ok(result)
-    }
-
-    /// Runs one inference and additionally captures the spike frame that
-    /// entered each tile (`layer_inputs[0]` is the input itself).
-    ///
-    /// The inference outcome is bit-identical to [`infer`](Self::infer) on
-    /// the same frame; only the trace capture (one clone per inter-tile
-    /// frame) is added. Equivalence tests and examples live here; the
-    /// serving and learning paths never pay for it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InputWidthMismatch`] for a wrong input width.
-    pub fn infer_traced(&mut self, input: &BitVec) -> Result<TracedInference, CoreError> {
-        let mut layer_inputs = Vec::with_capacity(self.tiles.len());
-        let result = self.infer_frame(input, Some(&mut layer_inputs))?;
-        Ok(TracedInference {
-            result,
-            layer_inputs,
-        })
-    }
-
-    /// [`walk_frame`] over the whole cascade, read out as a result — the
-    /// path behind [`infer`](Self::infer) and
-    /// [`infer_traced`](Self::infer_traced).
-    fn infer_frame(
-        &mut self,
-        input: &BitVec,
-        layer_inputs: Option<&mut Vec<BitVec>>,
-    ) -> Result<InferenceResult, CoreError> {
-        // Under the frame kernel the result's four buffers (spikes,
-        // cycles, membranes, logits) are all a frame allocates.
-        let classes = self.tiles.last().map_or(0, Tile::outputs);
-        let mut output_spikes = BitVec::new(classes);
-        let mut per_tile_cycles = Vec::with_capacity(self.tiles.len());
-        let mut membranes = Vec::with_capacity(classes);
-        walk_frame(
-            &mut self.tiles,
-            input,
-            &mut output_spikes,
-            &mut per_tile_cycles,
-            Some(&mut membranes),
-            layer_inputs,
-        )?;
-        Ok(InferenceResult::from_readout(
-            membranes,
-            &self.output_bias,
-            output_spikes,
-            per_tile_cycles,
-        ))
     }
 
     /// Installs a fault plan on this system.
@@ -911,14 +868,14 @@ mod tests {
             let (mut system, model) = small_system(cell);
             for seed in 0..25 {
                 let input = random_frame(128, seed);
-                let traced = system.infer_traced(&input).unwrap();
-                let hw = &traced.result;
+                let hw = system.infer(&input).unwrap();
                 let golden = model.forward(&input).unwrap();
                 assert_eq!(hw.membranes, golden.membranes, "{cell} seed {seed}");
                 assert_eq!(hw.prediction, golden.prediction(), "{cell} seed {seed}");
                 // Hidden spike frames match too.
                 assert_eq!(
-                    traced.layer_inputs[1], golden.spikes[1],
+                    system.tiles()[0].fired(),
+                    &golden.spikes[1],
                     "{cell} seed {seed}"
                 );
                 // The observed output spike frame is the threshold
@@ -996,8 +953,7 @@ mod tests {
 
         let (mut system, _) = small_system(BitcellKind::multiport(4).unwrap());
         let frame = random_frame(128, 9);
-        let traced = system.infer_traced(&frame).unwrap();
-        let before = &traced.result;
+        let before = system.infer(&frame).unwrap();
         // Teach toward a label the system neither predicts nor fires for,
         // so the session must emit a ShouldFire for it.
         let label = (0..10)
@@ -1015,9 +971,10 @@ mod tests {
             "the triggering inference's cycles are reported"
         );
         // Deterministic potentiation (p = 1) must align the label column
-        // with the pre-synaptic frame that entered the output tile.
+        // with the pre-synaptic frame that entered the output tile, which
+        // the hidden tile still holds.
         let column = system.tiles().last().unwrap().weight_column(label);
-        for i in traced.layer_inputs[1].iter_ones() {
+        for i in system.tiles()[0].fired().iter_ones() {
             assert!(column.get(i), "active input {i} must be potentiated");
         }
         // Learning energy is the in-array share and is now non-zero.

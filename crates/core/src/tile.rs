@@ -268,8 +268,10 @@ pub struct Tile {
     integrity_tally: IntegrityTally,
     /// Pristine per-array weight images captured when integrity was
     /// enabled — the off-chip golden copy the scrub pass reloads
-    /// uncorrectable rows from. `Arc`-shared across clones and never
-    /// mutated; **never consulted on the read path**.
+    /// uncorrectable rows from. `Arc`-shared across clones; only a learning
+    /// write changes it (copy-on-write, see
+    /// [`refresh_golden_column`](Self::refresh_golden_column)).
+    /// **Never consulted on the read path**.
     golden: Option<Arc<Vec<BitMatrix>>>,
 }
 
@@ -524,8 +526,9 @@ impl Tile {
     /// layer's physical bit-flip primitive, routed to the owning SRAM
     /// block's [`flip_bit`](SramArray::flip_bit) (uncounted; a strike, not
     /// an access). XOR-involutive: toggling twice restores the tile, which
-    /// is how transient per-frame flips are reverted. Un-shares the
-    /// weights first when they are shared with other clones.
+    /// is how transient per-frame flips are reverted. The golden image is
+    /// left alone, so under checked integrity the scrub undoes the flip.
+    /// Un-shares the weights first when they are shared with other clones.
     ///
     /// # Errors
     ///
@@ -591,20 +594,28 @@ impl Tile {
         column
     }
 
-    /// Overwrites one SRAM block's contents in place (the batch engine's
-    /// weight-merge step — an off-chip aggregation, not counted as runtime
-    /// accesses). Un-shares the weights first when necessary.
-    pub(crate) fn load_block(
-        &mut self,
-        row_group: usize,
-        col_group: usize,
-        bits: &BitMatrix,
-    ) -> Result<(), CoreError> {
-        self.array_mut(row_group, col_group).load_weights(bits)?;
-        if self.integrity.checks() {
-            self.capture_golden();
+    /// Copies the stored weight column of output `neuron` into the golden
+    /// image: the learning write path's last step. Learned weights are the
+    /// new pristine state, so the scrub after the next checked frame keeps
+    /// them. Strikes ([`toggle_weight_bit`](Self::toggle_weight_bit)) never
+    /// come here, which is what lets the scrub undo them. A no-op unless
+    /// the integrity mode checks reads (only then is there an image).
+    pub(crate) fn refresh_golden_column(&mut self, neuron: usize) {
+        if !self.integrity.checks() {
+            return;
         }
-        Ok(())
+        let Some(golden) = &mut self.golden else {
+            return;
+        };
+        let golden = Arc::make_mut(golden);
+        let (col_group, col) = (neuron / ARRAY_DIM, neuron % ARRAY_DIM);
+        for rg in 0..self.row_groups {
+            let index = rg * self.col_groups + col_group;
+            let stored = self.weights.arrays[index].bits();
+            for row in 0..stored.rows() {
+                golden[index].set(row, col, stored.get(row, col));
+            }
+        }
     }
 
     /// The neuron array.
@@ -857,9 +868,13 @@ impl Tile {
         fired
     }
 
-    /// The frame this tile fired last in a cascade walk (see the `fired`
-    /// field).
-    pub(crate) fn fired(&self) -> &BitVec {
+    /// The frame this tile fired last in a
+    /// [`walk_frame`](crate::cascade::walk_frame): the spike frame that
+    /// entered the next tile. The last tile of a walk fires into the
+    /// caller's buffer instead, so its frame is read there (for
+    /// [`EsamSystem::infer`](crate::EsamSystem::infer), in
+    /// [`InferenceResult::output_spikes`](crate::InferenceResult::output_spikes)).
+    pub fn fired(&self) -> &BitVec {
         &self.fired
     }
 
@@ -892,7 +907,6 @@ impl Tile {
             frame,
             &mut fired,
             &mut cycles,
-            None,
             None,
         )?;
         Ok((fired, cycles[0]))

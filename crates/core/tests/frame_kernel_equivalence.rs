@@ -9,7 +9,8 @@
 //! At system level `infer` takes the kernel on each tile where it is exact
 //! and the cycle walk elsewhere; it must match a manual per-tile cycle walk
 //! on cascades that mix both paths and on systems (`OnFire`, Detect,
-//! Correct) that must not take the kernel at all. `bitslice_equivalence.rs`
+//! Correct) that must not take the kernel at all, down to the frame each
+//! hidden tile keeps as `Tile::fired`. `bitslice_equivalence.rs`
 //! compares the block kernel with `infer`, so this battery is what ties
 //! both closed forms to the cycle walk.
 
@@ -210,30 +211,47 @@ fn system_with(
     EsamSystem::from_model(&model, &config).unwrap()
 }
 
-/// The cycle walk over every tile of `system`, in order: the last tile's
-/// fired frame and membranes, and each tile's cycles.
-fn manual_walk(system: &mut EsamSystem, input: &BitVec) -> (BitVec, Vec<i32>, Vec<u64>) {
-    let (mut frame, mut membranes, mut cycles) = (input.clone(), Vec::new(), Vec::new());
+/// The cycle walk over every tile of `system`, in order: each tile's fired
+/// frame (the last one is the output), the last tile's membranes, and each
+/// tile's cycles.
+fn manual_walk(system: &mut EsamSystem, input: &BitVec) -> (Vec<BitVec>, Vec<i32>, Vec<u64>) {
+    let (mut fired, mut membranes, mut cycles) = (Vec::new(), Vec::new(), Vec::new());
     for index in 0..system.tiles().len() {
-        let (fired, tile_membranes, tile_cycles) = cycle_walk(system.tile_mut(index), &frame);
-        frame = fired;
+        let entering = fired.last().unwrap_or(input);
+        let (frame, tile_membranes, tile_cycles) = cycle_walk(system.tile_mut(index), entering);
+        fired.push(frame);
         membranes = tile_membranes;
         cycles.push(tile_cycles);
     }
-    (frame, membranes, cycles)
+    (fired, membranes, cycles)
+}
+
+/// Every hidden tile of `system` keeps the frame the manual walk fired
+/// there; the last tile fires into the caller's buffer instead.
+fn assert_hidden_frames(system: &EsamSystem, fired: &[BitVec], label: &str) {
+    let hidden = &system.tiles()[..system.tiles().len() - 1];
+    for (t, (tile, want)) in hidden.iter().zip(fired).enumerate() {
+        assert_eq!(tile.fired(), want, "{label}: tile {t} fired frame");
+    }
 }
 
 /// `infer` on one clone of `template` against the manual cycle walk on
-/// another: result, every tile's counters and post-state.
+/// another: result, every hidden tile's fired frame, every tile's counters
+/// and post-state.
 fn assert_infer_matches_manual_walk(template: &EsamSystem, frames: &[BitVec], label: &str) {
     let (mut fast, mut walked) = (template.clone(), template.clone());
     for (i, frame) in frames.iter().enumerate() {
         let label = format!("{label}: frame {i}");
         let result = fast.infer(frame).unwrap();
-        let (spikes, membranes, cycles) = manual_walk(&mut walked, frame);
-        assert_eq!(result.output_spikes, spikes, "{label}: output spikes");
+        let (fired, membranes, cycles) = manual_walk(&mut walked, frame);
+        assert_eq!(
+            Some(&result.output_spikes),
+            fired.last(),
+            "{label}: output spikes"
+        );
         assert_eq!(result.membranes, membranes, "{label}: readout membranes");
         assert_eq!(result.per_tile_cycles, cycles, "{label}: per-tile cycles");
+        assert_hidden_frames(&fast, &fired, &label);
         for (t, (got, want)) in fast.tiles().iter().zip(walked.tiles()).enumerate() {
             assert_same_state(got, want, &format!("{label}: tile {t}"));
         }
@@ -288,7 +306,7 @@ fn a_misshaped_output_frame_leaves_the_cascade_untouched() {
     let mut tiles = template.tiles().to_vec();
     let mut cycles = Vec::new();
     let mut wide = BitVec::new(132);
-    let rejected = walk_frame(&mut tiles, &frame, &mut wide, &mut cycles, None, None);
+    let rejected = walk_frame(&mut tiles, &frame, &mut wide, &mut cycles, None);
     assert!(
         matches!(
             rejected,
@@ -305,7 +323,7 @@ fn a_misshaped_output_frame_leaves_the_cascade_untouched() {
         assert_same_state(got, want, &format!("tile {t} after the rejected walk"));
     }
     let mut out = BitVec::new(10);
-    walk_frame(&mut tiles, &frame, &mut out, &mut cycles, None, None).unwrap();
+    walk_frame(&mut tiles, &frame, &mut out, &mut cycles, None).unwrap();
     let result = template.clone().infer(&frame).unwrap();
     assert_eq!(
         (out, cycles),
@@ -390,15 +408,16 @@ fn transient_weight_flips_need_no_guard() {
         let sites = flip_sites(&walked, &plan, frame_id);
         assert!(!sites.is_empty(), "frame {frame_id}: some bits flip");
         toggle(&mut walked, &sites);
-        let (spikes, membranes, cycles) = manual_walk(&mut walked, frame);
+        let (mut fired, membranes, cycles) = manual_walk(&mut walked, frame);
         toggle(&mut walked, &sites);
+        assert_hidden_frames(&fast, &fired, &format!("frame {frame_id}"));
         assert_eq!(
             (
                 result.output_spikes,
                 result.membranes,
                 result.per_tile_cycles
             ),
-            (spikes, membranes, cycles),
+            (fired.pop().unwrap(), membranes, cycles),
             "frame {frame_id}"
         );
         for (t, (got, want)) in fast.tiles().iter().zip(walked.tiles()).enumerate() {

@@ -304,7 +304,6 @@ fn steady_state_walk_frame_is_allocation_free() {
             &mut out,
             &mut cycles,
             Some(&mut membranes),
-            None,
         )
         .unwrap();
 
@@ -316,11 +315,10 @@ fn steady_state_walk_frame_is_allocation_free() {
             &mut out,
             &mut cycles,
             Some(&mut membranes),
-            None,
         )
         .unwrap();
         cycles.clear();
-        walk_frame(&mut tiles, &frame, &mut out, &mut cycles, None, None).unwrap();
+        walk_frame(&mut tiles, &frame, &mut out, &mut cycles, None).unwrap();
         let after = allocations();
         assert_eq!(
             after - before,

@@ -589,7 +589,6 @@ impl CoreSlot {
             &mut self.fired,
             &mut out.cycles,
             is_output.then_some(&mut self.membranes),
-            None,
         )?;
         out.slices.set_row(lane, &self.fired);
         out.membranes.extend_from_slice(&self.membranes);

@@ -30,7 +30,6 @@
 pub mod array;
 pub mod config;
 pub mod if_neuron;
-pub mod lif;
 pub mod reference;
 pub mod structural;
 pub mod timing;
@@ -38,6 +37,5 @@ pub mod timing;
 pub use array::NeuronArray;
 pub use config::{NeuronConfig, ResetPolicy};
 pub use if_neuron::IfNeuron;
-pub use lif::LifNeuron;
 pub use reference::ScalarNeuronArray;
 pub use timing::NeuronTiming;

@@ -52,10 +52,6 @@ impl ConfusionMatrix {
 }
 
 /// Streaming accuracy accumulator for online-learning curves.
-///
-/// Counts are plain `u64` sums, so accumulators from disjoint sample shards
-/// [`merge`](Self::merge) exactly — the same integer-merge law the batch
-/// engine relies on for inference counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunningAccuracy {
     seen: u64,
@@ -90,12 +86,6 @@ impl RunningAccuracy {
             return 0.0;
         }
         self.correct as f64 / self.seen as f64
-    }
-
-    /// Adds another shard's counts into this one (exact).
-    pub fn merge(&mut self, other: &RunningAccuracy) {
-        self.seen += other.seen;
-        self.correct += other.correct;
     }
 }
 
@@ -145,7 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn running_accuracy_counts_and_merges_exactly() {
+    fn running_accuracy_counts_exactly() {
         let mut a = RunningAccuracy::new();
         a.record(true);
         a.record(false);
@@ -153,12 +143,6 @@ mod tests {
         assert_eq!(a.seen(), 3);
         assert_eq!(a.correct(), 2);
         assert!((a.accuracy() - 2.0 / 3.0).abs() < 1e-12);
-        let mut b = RunningAccuracy::new();
-        b.record(false);
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.seen(), 4);
-        assert_eq!(merged.correct(), 2);
         assert_eq!(RunningAccuracy::default().accuracy(), 0.0);
     }
 

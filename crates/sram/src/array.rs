@@ -264,48 +264,20 @@ impl SramArray {
     ///
     /// [`SramError::PortOutOfRange`] or [`SramError::RowOutOfRange`].
     pub fn inference_read(&mut self, port: usize, row: usize) -> Result<BitVec, SramError> {
+        let mut bits = BitVec::new(self.config.cols());
         let mut stats = self.stats;
-        let bits = self.read_row_counted(&mut stats, port, row)?;
+        self.read_row_counted_into(&mut stats, port, row, &mut bits)?;
         self.stats = stats;
         Ok(bits)
     }
 
-    /// Reads one row through inference port `port`, counting the access in
-    /// an *external* counter set instead of this array's own — the shared
-    /// implementation behind [`inference_read`](Self::inference_read), also
-    /// used by callers that keep per-worker counter mirrors so concurrent
-    /// shards can read the same (immutable) array.
-    ///
-    /// # Errors
-    ///
-    /// [`SramError::PortOutOfRange`] or [`SramError::RowOutOfRange`].
-    pub fn read_row_counted(
-        &self,
-        stats: &mut AccessStats,
-        port: usize,
-        row: usize,
-    ) -> Result<BitVec, SramError> {
-        let available = self.config.cell().inference_parallelism();
-        if port >= available {
-            return Err(SramError::PortOutOfRange { port, available });
-        }
-        if row >= self.config.rows() {
-            return Err(SramError::RowOutOfRange {
-                row,
-                rows: self.config.rows(),
-            });
-        }
-        let bits = self.bits.row(row);
-        stats.inference_reads += 1;
-        stats.inference_zero_bits += (self.config.cols() - bits.count_ones()) as u64;
-        Ok(bits)
-    }
-
     /// Reads one row through inference port `port` into caller-owned
-    /// scratch — the allocation-free form of
-    /// [`read_row_counted`](Self::read_row_counted), with identical bounds
-    /// checks and counter increments. The row lands in `dst` as a straight
-    /// word copy (column 0 at the LSB of the first word).
+    /// scratch, counting the access in an *external* counter set instead of
+    /// this array's own — the read behind
+    /// [`inference_read`](Self::inference_read), also used by callers that
+    /// keep per-worker counter mirrors so concurrent shards can read the
+    /// same (immutable) array. The row lands in `dst` as a straight word
+    /// copy (column 0 at the LSB of the first word).
     ///
     /// # Errors
     ///

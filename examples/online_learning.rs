@@ -98,12 +98,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for i in 0..environment {
             let frame = shifted.train.spikes(i);
             let target = shifted.train.label(i) as usize;
-            let traced = system.infer_traced(&frame)?;
-            if traced.result.prediction == target {
+            if system.infer(&frame)?.prediction == target {
                 continue;
             }
-            // The spikes that actually entered the output tile.
-            let pre = traced.layer_inputs[output_layer].clone();
+            // The spikes that actually entered the output tile: the ones
+            // the tile before it fired.
+            let pre = system.tiles()[output_layer - 1].fired().clone();
             total += engine.teach_system(
                 &mut system,
                 output_layer,

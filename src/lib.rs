@@ -76,9 +76,8 @@ pub mod prelude {
     pub use esam_arbiter::{EncoderStructure, MultiPortArbiter};
     pub use esam_bits::{BitMatrix, BitVec, FrameBlock};
     pub use esam_core::{
-        BatchConfig, BatchEngine, EpochConfig, EsamSystem, InferenceResult, LearningCost,
-        LearningCurve, OnlineLearningEngine, OnlineSession, PipelineTiming, SystemConfig,
-        SystemMetrics, Tile, TracedInference, WeightMergePolicy,
+        BatchConfig, BatchEngine, EsamSystem, InferenceResult, LearningCost, LearningCurve,
+        OnlineLearningEngine, OnlineSession, PipelineTiming, SystemConfig, SystemMetrics, Tile,
     };
     pub use esam_fault::{FaultConfig, FaultPlan, FaultTally};
     pub use esam_mesh::{MeshConfig, MeshMetrics, MeshPlan, MeshSystem};

@@ -1,6 +1,7 @@
 //! Online-learning integration: the STDP engine must functionally adapt a
 //! deployed system and its access costs must follow §4.4.1.
 
+use esam::core::IntegrityMode;
 use esam::prelude::*;
 
 /// Builds a 128→128→10 system whose first-layer weights we adapt.
@@ -24,9 +25,9 @@ fn teaching_should_fire_eventually_fires_the_neuron() {
     // pattern (threshold is fixed; the weights move toward the pattern).
     let mut fired_at = None;
     for round in 0..40 {
-        let traced = system.infer_traced(&pattern).unwrap();
-        // layer_inputs[1] is tile 1's input = tile 0's firing pattern.
-        let hidden = &traced.layer_inputs[1];
+        system.infer(&pattern).unwrap();
+        // Tile 0's firing pattern, which entered tile 1.
+        let hidden = system.tiles()[0].fired();
         if hidden.get(neuron) {
             fired_at = Some(round);
             break;
@@ -48,8 +49,8 @@ fn teaching_should_not_fire_eventually_silences_the_neuron() {
     let pattern = BitVec::from_indices(128, &(0..128).step_by(2).collect::<Vec<_>>());
 
     // Find a neuron that currently fires on the pattern.
-    let traced = system.infer_traced(&pattern).unwrap();
-    let Some(neuron) = traced.layer_inputs[1].first_set() else {
+    system.infer(&pattern).unwrap();
+    let Some(neuron) = system.tiles()[0].fired().first_set() else {
         // Nothing fires: vacuously silenced.
         return;
     };
@@ -64,8 +65,8 @@ fn teaching_should_not_fire_eventually_silences_the_neuron() {
                 TeacherSignal::ShouldNotFire,
             )
             .unwrap();
-        let traced = system.infer_traced(&pattern).unwrap();
-        if !traced.layer_inputs[1].get(neuron) {
+        system.infer(&pattern).unwrap();
+        if !system.tiles()[0].fired().get(neuron) {
             silenced = true;
             break;
         }
@@ -185,6 +186,69 @@ fn learning_preserves_unrelated_columns() {
             assert_ne!(&now, old, "taught column must change");
         } else {
             assert_eq!(&now, old, "column {c} must be untouched");
+        }
+    }
+}
+
+/// Every SRAM block's stored weights, tile by tile.
+fn stored_weights(system: &EsamSystem) -> Vec<BitMatrix> {
+    system
+        .tiles()
+        .iter()
+        .flat_map(|tile| tile.arrays().iter().map(|array| array.bits().clone()))
+        .collect()
+}
+
+#[test]
+fn learned_weights_survive_the_checked_scrub() {
+    // A learning write is a legitimate write, so it must reach the golden
+    // image the post-frame scrub reloads from. Otherwise the next checked
+    // frame reverts every learned bit, and `Correct` counts each learned
+    // row as silent corruption. The membrane-flip plan runs the scrub
+    // without striking a weight; the weight-flip plan strikes some, and
+    // the scrub must restore the learned weights, not the loaded ones.
+    let net = BnnNetwork::new(&[128, 64, 10], 11).unwrap();
+    let model = SnnModel::from_bnn(&net).unwrap();
+    let frame = BitVec::from_indices(128, &(0..128).step_by(3).collect::<Vec<_>>());
+    let plans = [
+        (
+            "membrane flips",
+            FaultConfig::none().with_membrane_flip_rate(1e-9),
+        ),
+        (
+            "weight flips",
+            FaultConfig::none().with_weight_flip_rate(1e-3),
+        ),
+    ];
+    for cell in [BitcellKind::multiport(4).unwrap(), BitcellKind::Std6T] {
+        for mode in [IntegrityMode::Detect, IntegrityMode::Correct] {
+            for (plan, faults) in plans {
+                let label = format!("{cell} {mode:?} {plan}");
+                let config = SystemConfig::builder(cell, &[128, 64, 10]).build().unwrap();
+                let mut system = EsamSystem::from_model(&model, &config).unwrap();
+                system.set_fault_plan(FaultPlan::seeded(3, faults)).unwrap();
+                system.set_integrity_mode(mode);
+                let loaded = stored_weights(&system);
+                let class = (system.infer(&frame).unwrap().prediction + 1) % 10;
+                let mut engine = OnlineLearningEngine::new(StdpRule::new(1.0, 1.0), 5);
+                let outcome = system.learn_sample(&mut engine, &frame, class).unwrap();
+                assert!(outcome.cost.bits_flipped > 0, "{label}: the sample learns");
+                let learned = stored_weights(&system);
+                assert_ne!(learned, loaded, "{label}");
+
+                system.reset_stats();
+                system.infer_checked(&frame, 0).unwrap();
+                assert_eq!(
+                    stored_weights(&system),
+                    learned,
+                    "{label}: the scrub keeps the learned weights"
+                );
+                if faults.weight_flip_rate() > 0.0 {
+                    assert!(system.fault_tally().weight_flips > 0, "{label}: struck");
+                } else {
+                    assert_eq!(system.integrity_tally().silent, 0, "{label}");
+                }
+            }
         }
     }
 }

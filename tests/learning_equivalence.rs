@@ -68,7 +68,8 @@ proptest! {
                 TeacherSignal::ShouldNotFire
             };
             // Teach the output layer through each cell's own access path.
-            let pre = multi.infer_traced(frame).expect("inference").layer_inputs[1].clone();
+            multi.infer(frame).expect("inference");
+            let pre = multi.tiles()[0].fired().clone();
             multi_cost += multi_engine
                 .teach_system(&mut multi, 1, &pre, neuron, signal)
                 .expect("multiport teach");
