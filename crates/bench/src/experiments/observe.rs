@@ -1,11 +1,17 @@
 //! Observability experiment: one deterministic end-to-end trace across the
-//! serving, mesh and block-engine pipelines, with a time-in-stage
+//! core cascade, the serving layer and the mesh, with a time-in-stage
 //! bottleneck breakdown and a unified metrics snapshot.
 //!
 //! Three deterministic workloads run back to back, each recording into the
 //! `esam-obs` tracer:
 //!
-//! 1. **Serve** — a single-worker, batch-of-1 [`EsamService`] fed through
+//! 1. **Core** — [`EsamSystem::infer`], the frame kernel production runs,
+//!    over the serve workload's frames on an unfaulted clone of its
+//!    system. Each frame draws one `layer` span per tile
+//!    ([`InferenceResult::trace_layers`](esam_core::InferenceResult::trace_layers)),
+//!    and the track's end cycle over the whole pass sets the serve arrival
+//!    gap.
+//! 2. **Serve** — a single-worker, batch-of-1 [`EsamService`] fed through
 //!    [`EsamService::submit_at`] with a modeled-cycle arrival plan (one
 //!    request every half mean service time, so a queue builds and the
 //!    `queue-wait` percentiles are non-trivial). The worker runs with
@@ -13,31 +19,25 @@
 //!    the snapshot carries live corrected/uncorrectable/quarantine
 //!    series. It records queue-wait → infer (tiled by per-layer spans)
 //!    → fulfil.
-//! 2. **Mesh** — a 3-core sequential pipeline walked through
+//! 3. **Mesh** — a 3-core sequential pipeline walked through
 //!    [`MeshSystem::run_traced`] under a light packet-corruption plan:
 //!    per-core `frame` occupancy and `bubble` spans, per-link `hop` +
 //!    `serialize` spans, and `packet-corrupt` instants whose CRC-verify
 //!    and retransmit counters land in the metrics snapshot.
-//! 3. **Block engine** — the batch-major bit-sliced kernel through
-//!    [`esam_core::EsamSystem::infer_block_scoped`], attributing
-//!    `layer-block` spans per 64-lane block.
 //!
 //! The three traces merge into one Chrome trace-event JSON (processes
 //! `esam-core` / `esam-serve` / `esam-mesh`) loadable in
 //! [Perfetto](https://ui.perfetto.dev); every stage span feeds a
 //! [`Histogram`] whose p50/p95/p99 make the bottleneck table. All of it is
 //! in the modeled-cycle domain, so `repro observe --json` is **byte-for-byte
-//! reproducible** at a fixed seed. The one wall-clock figure, the no-op
-//! tracer overhead on the inference hot path (acceptance bar < 2 %), is
-//! measured apart by [`noop_overhead_pct`] and kept out of
-//! [`ObserveResults`] and the JSON snapshot.
+//! reproducible** at a fixed seed.
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use esam_bits::BitVec;
-use esam_core::{CoreError, EsamSystem, SystemConfig, TraceScope, TrackTrace};
+use esam_core::{CoreError, EsamSystem, SystemConfig, TrackTrace};
 use esam_mesh::{Execution, MeshConfig, MeshSystem, MESH_TRACE_PID};
 use esam_nn::{BnnNetwork, SnnModel};
 use esam_obs::{
@@ -51,27 +51,15 @@ use esam_sram::BitcellKind;
 
 use crate::{BenchError, Table};
 
-/// Perfetto process id for the block-engine track (serve is 1, mesh is 2).
+/// Perfetto process id for the core track (serve is 1, mesh is 2).
 const CORE_TRACE_PID: u32 = 0;
 
 /// Per-track ring capacity — comfortably above the event counts of the
 /// default workloads, so nothing is dropped and the export is complete.
 const TRACE_CAPACITY: usize = 8192;
 
-/// The serve workload's network, which the no-op overhead is measured on.
+/// The serve workload's network, which the core track also runs.
 const SERVE_TOPOLOGY: [usize; 3] = [128, 64, 10];
-
-/// Frames per round of the no-op overhead measurement (~4 ms of `infer`
-/// on the serve network).
-const OVERHEAD_FRAMES: usize = 8192;
-
-/// Frames per paired block of it: the plain and the scoped pass over the
-/// same 16 frames (~10 µs each) run back to back, so most host stalls miss
-/// the pair or hit both sides.
-const OVERHEAD_BLOCK: usize = 16;
-
-/// Timed rounds of it, after one untimed round.
-const OVERHEAD_ROUNDS: usize = 11;
 
 /// One stage's cycle-duration distribution in the bottleneck table.
 #[derive(Debug, Clone)]
@@ -132,85 +120,6 @@ fn synthetic_frames(width: usize, count: usize) -> Vec<BitVec> {
         .collect()
 }
 
-/// Deterministic frames at ~20 % density: bit `i` of frame `f` is set
-/// when a multiplicative hash of its position lands in the lowest fifth.
-fn dense_frames(width: usize, count: usize) -> Vec<BitVec> {
-    let spikes = |position: usize| {
-        ((position as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32).is_multiple_of(5)
-    };
-    (0..count)
-        .map(|f| (f * width..(f + 1) * width).map(spikes).collect())
-        .collect()
-}
-
-/// Wall time of one pass of `infer` (or `infer_scoped(TraceScope::Off)`)
-/// over `frames`, in seconds.
-fn timed_pass(system: &mut EsamSystem, frames: &[BitVec], scoped: bool) -> Result<f64, BenchError> {
-    let start = Instant::now();
-    for frame in frames {
-        if scoped {
-            system.infer_scoped(frame, &mut TraceScope::Off)?;
-        } else {
-            system.infer(frame)?;
-        }
-    }
-    Ok(start.elapsed().as_secs_f64())
-}
-
-/// The serve workload's system: a seeded network on the 4-read-port cell.
-fn serve_system() -> Result<EsamSystem, BenchError> {
-    let net = BnnNetwork::new(&SERVE_TOPOLOGY, 0x0B5)?;
-    let model = SnnModel::from_bnn(&net)?;
-    let config =
-        SystemConfig::builder(BitcellKind::multiport(4).unwrap(), &SERVE_TOPOLOGY).build()?;
-    Ok(EsamSystem::from_model(&model, &config)?)
-}
-
-/// No-op tracer overhead on the inference hot path, percent:
-/// `infer_scoped(TraceScope::Off)` against `infer` on the serve system,
-/// over the same 8192 frames of ~20 % density. Each round pairs the
-/// frames in blocks of 16: the two passes over a block run back to back
-/// on one system, so both see the same memory layout, and the side that
-/// goes first alternates. The figure is the median scoped/plain ratio
-/// over the blocks of 11 rounds, after one untimed round. Noise around
-/// zero can read slightly negative. The experiment's one wall-clock
-/// figure, so it is measured apart from [`observe_results`].
-///
-/// # Errors
-///
-/// Propagates model-construction and inference errors.
-pub fn noop_overhead_pct() -> Result<f64, BenchError> {
-    let mut system = serve_system()?;
-    let frames = dense_frames(SERVE_TOPOLOGY[0], OVERHEAD_FRAMES);
-    let mut ratios = Vec::new();
-    for round in 0..=OVERHEAD_ROUNDS {
-        for (index, block) in frames.chunks(OVERHEAD_BLOCK).enumerate() {
-            let scoped_first = (round + index) % 2 == 1;
-            let first = timed_pass(&mut system, block, scoped_first)?;
-            let second = timed_pass(&mut system, block, !scoped_first)?;
-            let (plain_s, scoped_s) = if scoped_first {
-                (second, first)
-            } else {
-                (first, second)
-            };
-            if round > 0 {
-                ratios.push(scoped_s / plain_s);
-            }
-        }
-    }
-    ratios.sort_by(f64::total_cmp);
-    Ok((ratios[ratios.len() / 2] - 1.0) * 100.0)
-}
-
-/// The line `repro observe` prints for a [`noop_overhead_pct`] reading.
-pub fn overhead_line(overhead_pct: f64) -> String {
-    format!(
-        "no-op tracer overhead on the inference hot path: {overhead_pct:+.2}% over \
-         {OVERHEAD_FRAMES} frames (median over {OVERHEAD_ROUNDS} rounds of paired \
-         {OVERHEAD_BLOCK}-frame blocks of wall time; acceptance < 2%)"
-    )
-}
-
 /// Runs the experiment: `samples` scales the serve request count (≥ 4) and
 /// the mesh frame count (clamped to 4..=64).
 ///
@@ -221,18 +130,28 @@ pub fn observe_results(samples: usize) -> Result<ObserveResults, BenchError> {
     let requests = samples.max(4);
     let mesh_frames = samples.clamp(4, 64);
 
-    // --- Serve: single worker, batch of 1, modeled arrival plan. ---
-    let system = serve_system()?;
+    // The serve workload's system: a seeded network on the 4-read-port cell.
+    let net = BnnNetwork::new(&SERVE_TOPOLOGY, 0x0B5)?;
+    let config =
+        SystemConfig::builder(BitcellKind::multiport(4).unwrap(), &SERVE_TOPOLOGY).build()?;
+    let system = EsamSystem::from_model(&SnnModel::from_bnn(&net)?, &config)?;
     let batch = synthetic_frames(SERVE_TOPOLOGY[0], requests);
 
-    // Arrival plan: one request every half mean service time, so the
-    // modeled queue builds deterministically and queue-wait spreads.
-    let mut reference = system.clone();
-    let mut total_cycles = 0u64;
+    // --- Core: the frame kernel over the serve frames, layer by layer. ---
+    let mut core_track = TrackTrace::new(CORE_TRACE_PID, 0, "infer", TRACE_CAPACITY);
+    let mut core_system = system.clone();
     for frame in &batch {
-        total_cycles += reference.infer(frame)?.total_cycles();
+        let start = core_track.cursor();
+        core_system
+            .infer(frame)?
+            .trace_layers(&mut core_track, start);
     }
-    let gap = (total_cycles / requests as u64) / 2;
+
+    // --- Serve: single worker, batch of 1, modeled arrival plan. ---
+    // Arrival plan: one request every half mean service time (the core
+    // pass's cycles per frame), so the modeled queue builds
+    // deterministically and queue-wait spreads.
+    let gap = (core_track.cursor() / requests as u64) / 2;
 
     // A light transient-flip plan with integrity checking on: the worker
     // self-corrects (responses stay exact for single-bit rows) and the
@@ -260,11 +179,6 @@ pub fn observe_results(samples: usize) -> Result<ObserveResults, BenchError> {
     }
     let report = service.shutdown();
 
-    // --- Block engine: the bit-sliced kernel with layer-block spans. ---
-    let mut block_track = TrackTrace::new(CORE_TRACE_PID, 0, "block engine", TRACE_CAPACITY);
-    let mut block_system = system.clone();
-    block_system.infer_block_scoped(&batch, &mut TraceScope::On(&mut block_track))?;
-
     // --- Mesh: 3-core sequential pipeline with the traced timeline. ---
     let mesh_topology = [128usize, 64, 32, 10];
     let mesh_net = BnnNetwork::new(&mesh_topology, 0x0B5E)?;
@@ -291,7 +205,7 @@ pub fn observe_results(samples: usize) -> Result<ObserveResults, BenchError> {
     let serve_quarantines = report.quarantines;
     let mut trace = Trace::new();
     trace.name_process(CORE_TRACE_PID, "esam-core");
-    trace.push(block_track);
+    trace.push(core_track);
     trace.merge(report.trace);
     trace.merge(mesh_trace);
 
@@ -307,7 +221,7 @@ pub fn observe_results(samples: usize) -> Result<ObserveResults, BenchError> {
                 (SERVE_TRACE_PID, "queue-wait") => "serve/queue-wait".to_string(),
                 (SERVE_TRACE_PID, "infer") => "serve/infer".to_string(),
                 (SERVE_TRACE_PID, "layer") => format!("serve/layer {arg0}"),
-                (CORE_TRACE_PID, "layer-block") => format!("core/layer-block {arg0}"),
+                (CORE_TRACE_PID, "layer") => format!("core/layer {arg0}"),
                 (MESH_TRACE_PID, "frame") => "mesh/occupancy".to_string(),
                 (MESH_TRACE_PID, "bubble") => "mesh/bubble".to_string(),
                 (MESH_TRACE_PID, "hop") => "mesh/hop".to_string(),
@@ -393,7 +307,7 @@ pub fn observe_results(samples: usize) -> Result<ObserveResults, BenchError> {
 /// Renders the bottleneck breakdown table.
 pub fn observe_table(results: &ObserveResults) -> Table {
     let mut table = Table::new(
-        "Observe — time-in-stage breakdown (modeled cycles) across serve, mesh and block engine",
+        "Observe — time-in-stage breakdown (modeled cycles) across core, serve and mesh",
         &["stage", "count", "p50", "p95", "p99", "max", "total cycles"],
     );
     for stage in &results.stages {
@@ -423,8 +337,7 @@ pub fn observe_table(results: &ObserveResults) -> Table {
 
 /// Renders the results as one machine-readable JSON object. Everything in
 /// it is modeled-cycle-domain and therefore byte-for-byte reproducible at
-/// a fixed seed; the wall-clock overhead figure ([`noop_overhead_pct`]) is
-/// not part of it.
+/// a fixed seed.
 pub fn observe_json(results: &ObserveResults) -> String {
     let stages: Vec<String> = results
         .stages
@@ -497,7 +410,6 @@ mod tests {
             "esam-core",
             "queue-wait",
             "bubble",
-            "layer-block",
             "serialize",
         ] {
             assert!(results.trace_json.contains(marker), "missing {marker}");
@@ -507,6 +419,7 @@ mod tests {
         assert!(!results.bottleneck.is_empty());
         let names: Vec<&str> = results.stages.iter().map(|s| s.name.as_str()).collect();
         for stage in [
+            "core/layer 0",
             "serve/queue-wait",
             "serve/infer",
             "mesh/occupancy",

@@ -192,16 +192,10 @@ pub fn run_experiments(
             }
             "observe" => {
                 let results = experiments::observe::observe_results(samples)?;
-                let overhead =
-                    experiments::observe::overhead_line(experiments::observe::noop_overhead_pct()?);
                 if json {
                     println!("{}", experiments::observe::observe_json(&results));
-                    // The one wall-clock figure stays off stdout so the
-                    // JSON snapshot is byte-for-byte reproducible.
-                    eprintln!("[observe] {overhead}");
                 } else {
                     println!("{}", experiments::observe::observe_table(&results));
-                    println!("{overhead}");
                 }
                 if let Ok(dir) = std::env::var("ESAM_OBSERVE_DIR") {
                     match experiments::observe::write_artifacts(

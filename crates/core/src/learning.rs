@@ -60,6 +60,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
 use esam_bits::BitVec;
+use esam_fault::FaultPlan;
 use esam_nn::{RunningAccuracy, StdpRule, TeacherSignal};
 use esam_tech::units::{Joules, Seconds};
 use rand_chacha::rand_core::SeedableRng;
@@ -167,6 +168,24 @@ impl OnlineLearningEngine {
         neuron: usize,
         signal: TeacherSignal,
     ) -> Result<LearningCost, CoreError> {
+        self.teach_around(tile, clock_period, pre_spikes, neuron, signal, None)
+    }
+
+    /// [`teach`](Self::teach) around the stuck-at cells `stuck` pins in the
+    /// tile: after the rule updates a row group's column and before the
+    /// column is written, every stuck cell in it is set back to its stuck
+    /// value, so the write (and, under checked integrity, the codewords
+    /// and the golden image) keeps it. `bits_flipped` counts only cells
+    /// whose stored value changed.
+    pub(crate) fn teach_around(
+        &mut self,
+        tile: &mut Tile,
+        clock_period: Seconds,
+        pre_spikes: &BitVec,
+        neuron: usize,
+        signal: TeacherSignal,
+        stuck: Option<StuckCells<'_>>,
+    ) -> Result<LearningCost, CoreError> {
         if neuron >= tile.outputs() {
             return Err(CoreError::InvalidConfig(format!(
                 "neuron {neuron} out of range for a {}-output tile",
@@ -218,6 +237,19 @@ impl OnlineLearningEngine {
                 signal,
                 &mut self.rng,
             )?;
+            if let Some(stuck) = stuck {
+                let (layer, output) = (stuck.layer as u64, neuron as u64);
+                for row in 0..rows {
+                    let input = (offset + row) as u64;
+                    let Some(value) = stuck.plan.stuck_site(layer, input, output) else {
+                        continue;
+                    };
+                    let stored = array.bits().get(row, local_col);
+                    bits_flipped -= usize::from(self.column.get(row) != stored);
+                    bits_flipped += usize::from(value != stored);
+                    self.column.set(row, value);
+                }
+            }
             if transposable {
                 array.transposed_write(local_col, &self.column)?;
             } else {
@@ -249,7 +281,9 @@ impl OnlineLearningEngine {
     }
 
     /// Convenience wrapper: teaches a neuron of layer `layer` inside a full
-    /// system, using the system's clock.
+    /// system, using the system's clock and keeping the stuck-at cells its
+    /// installed fault plan pins (see
+    /// [`EsamSystem::set_fault_plan`]).
     ///
     /// # Errors
     ///
@@ -270,8 +304,27 @@ impl OnlineLearningEngine {
                 "layer {layer} out of range for a {tiles}-tile system"
             )));
         }
+        let plan = *system.fault_plan();
         let clock = system.pipeline().clock_period();
-        self.teach(system.tile_mut(layer), clock, pre_spikes, neuron, signal)
+        let stuck = StuckCells::of(&plan, layer);
+        let tile = system.tile_mut(layer);
+        self.teach_around(tile, clock, pre_spikes, neuron, signal, stuck)
+    }
+}
+
+/// The stuck-at cells of one tile that a learning write keeps: the
+/// installed fault plan and the tile's layer index in it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StuckCells<'p> {
+    plan: &'p FaultPlan,
+    layer: usize,
+}
+
+impl<'p> StuckCells<'p> {
+    /// Tile `layer`'s stuck-at cells under `plan`; `None` when the plan
+    /// pins none, so a write without faults skips the check.
+    pub(crate) fn of(plan: &'p FaultPlan, layer: usize) -> Option<Self> {
+        plan.stuck_active().then_some(Self { plan, layer })
     }
 }
 

@@ -74,7 +74,7 @@ pub use adder_tree::{energy_crossover, sparsity_sweep, AdderTreeMacro, SparsityP
 pub use batch::BatchEngine;
 pub use config::{BatchConfig, SystemConfig, SystemConfigBuilder, ARRAY_DIM};
 pub use error::CoreError;
-pub use esam_obs::{TraceScope, TrackTrace};
+pub use esam_obs::TrackTrace;
 pub use esam_sram::{IntegrityMode, IntegrityTally, RowVerdict};
 pub use learning::{
     CurvePoint, LearningCost, LearningCurve, OnlineLearningEngine, OnlineSession, SampleOutcome,

@@ -22,8 +22,11 @@ use std::fmt;
 use esam_obs::tally_add;
 use esam_tech::units::{AreaUm2, Hertz, Joules, Seconds, Watts};
 
+use crate::error::CoreError;
 use crate::learning::{LearningCost, SampleOutcome};
+use crate::pipeline::PipelineTiming;
 use crate::system::InferenceResult;
+use crate::tile::Tile;
 
 /// Raw cycle tallies accumulated while running a batch (or a shard of one).
 ///
@@ -158,6 +161,53 @@ pub struct SystemMetrics {
 }
 
 impl SystemMetrics {
+    /// The modeled figures of `tally.frames` frames run on `tiles`:
+    /// pipelined throughput from the mean bottleneck-tile cycles, latency
+    /// from the mean whole-cascade cycles, dynamic energy per inference
+    /// from the tiles' accumulated activity counters, dynamic power as
+    /// `E/inf × throughput`, and the tiles' leakage and area. Every sum
+    /// runs in the iterator's tile order. `learning` is `None`; a caller
+    /// that ran a learning session adds its summary.
+    ///
+    /// This is the one derivation behind
+    /// [`EsamSystem::finalize_metrics`](crate::EsamSystem::finalize_metrics)
+    /// and the mesh's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] for an empty tally; propagates
+    /// SRAM energy-model errors.
+    pub fn modeled<'t>(
+        pipeline: &PipelineTiming,
+        tally: &BatchTally,
+        tiles: impl Iterator<Item = &'t Tile> + Clone,
+    ) -> Result<Self, CoreError> {
+        if tally.frames == 0 {
+            return Err(CoreError::InvalidConfig(
+                "metrics need at least one frame".into(),
+            ));
+        }
+        let n = tally.frames as f64;
+        let bottleneck_cycles = tally.bottleneck_cycles as f64 / n;
+        let throughput = pipeline.throughput_for_cycles(bottleneck_cycles);
+        let mut energy = Joules::ZERO;
+        for tile in tiles.clone() {
+            energy += tile.dynamic_energy()?;
+        }
+        let energy_per_inf = energy / n;
+        Ok(Self {
+            clock: pipeline.clock_frequency(),
+            bottleneck_cycles,
+            throughput_inf_s: throughput,
+            latency: pipeline.seconds_for_cycles(tally.latency_cycles as f64 / n),
+            energy_per_inf,
+            dynamic_power: Watts::new(energy_per_inf.value() * throughput),
+            leakage_power: tiles.clone().map(Tile::leakage_power).sum(),
+            area: tiles.map(Tile::area).sum(),
+            learning: None,
+        })
+    }
+
     /// Total power: dynamic at full throughput plus leakage.
     pub fn total_power(&self) -> Watts {
         self.dynamic_power + self.leakage_power

@@ -12,14 +12,14 @@ use esam_bits::{BitVec, FrameBlock};
 use esam_fault::{FaultPlan, FaultTally};
 use esam_nn::bnn::argmax;
 use esam_nn::{derive_teacher_signals, SnnModel};
-use esam_obs::TraceScope;
+use esam_obs::TrackTrace;
 use esam_sram::{IntegrityMode, IntegrityTally};
 use esam_tech::units::{AreaUm2, Joules, Watts};
 
 use crate::cascade::{walk_block, walk_frame};
 use crate::config::SystemConfig;
 use crate::error::CoreError;
-use crate::learning::{LearningCost, OnlineLearningEngine, SampleOutcome};
+use crate::learning::{LearningCost, OnlineLearningEngine, SampleOutcome, StuckCells};
 use crate::metrics::{BatchTally, LearningSummary, SystemMetrics};
 use crate::pipeline::PipelineTiming;
 use crate::tile::Tile;
@@ -79,6 +79,20 @@ impl InferenceResult {
     /// Total cycles through the cascade (latency).
     pub fn total_cycles(&self) -> u64 {
         self.per_tile_cycles.iter().sum()
+    }
+
+    /// Draws this frame's per-layer `layer` spans on `track`, back to
+    /// back from cycle `start`: tile `t`'s entry of
+    /// [`per_tile_cycles`](Self::per_tile_cycles) is one span carrying
+    /// `("layer", t)`. The spans tile the frame's
+    /// [`total_cycles`](Self::total_cycles) exactly, and the track's
+    /// cursor is left at the frame's end. Every event is `Copy` into the
+    /// track's preallocated ring, so drawing allocates nothing.
+    pub fn trace_layers(&self, track: &mut TrackTrace, start: u64) {
+        track.set_cursor(start);
+        for (layer, &cycles) in self.per_tile_cycles.iter().enumerate() {
+            track.span("layer", cycles, [Some(("layer", layer as u64)), None]);
+        }
     }
 }
 
@@ -224,41 +238,6 @@ impl EsamSystem {
         ))
     }
 
-    /// Runs one inference and attributes its modeled cycles to per-layer
-    /// spans on the scope's track.
-    ///
-    /// The inference itself is *exactly* [`infer`](Self::infer) — the
-    /// cascade walk is untouched, so the result is bit-identical at any
-    /// scope state (pinned by `tests/trace_equivalence.rs`). Attribution
-    /// happens post-hoc from the result's
-    /// [`per_tile_cycles`](InferenceResult::per_tile_cycles): their sum is
-    /// [`total_cycles`](InferenceResult::total_cycles), so the `layer`
-    /// spans tile the frame's cycle interval exactly, advancing the
-    /// track's cursor by the frame's full latency. Every recorded event is
-    /// `Copy` into the track's preallocated ring, so the hot path stays
-    /// allocation-free with tracing *on*; with [`TraceScope::Off`] the
-    /// whole addition is one branch. The function is `#[inline]` so that
-    /// branch folds away in another crate too: a caller passing `Off`
-    /// compiles to the same code as one calling `infer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InputWidthMismatch`] for a wrong input width.
-    #[inline]
-    pub fn infer_scoped(
-        &mut self,
-        input: &BitVec,
-        scope: &mut TraceScope<'_>,
-    ) -> Result<InferenceResult, CoreError> {
-        let result = self.infer(input)?;
-        if let TraceScope::On(track) = scope {
-            for (layer, &cycles) in result.per_tile_cycles.iter().enumerate() {
-                track.span("layer", cycles, [Some(("layer", layer as u64)), None]);
-            }
-        }
-        Ok(result)
-    }
-
     /// Installs a fault plan on this system.
     ///
     /// Stuck-at faults are **materialized once, here**: every weight bit
@@ -266,9 +245,13 @@ impl EsamSystem {
     /// the word-parallel hot path pays nothing per inference for them.
     /// Installing a new plan (including [`FaultPlan::none`]) first reverts
     /// the previous plan's materialization, restoring the original weights
-    /// exactly (flips are involutive). Transient faults (weight/membrane
-    /// flips) take effect in [`infer_checked`](Self::infer_checked);
-    /// serve-/mesh-domain rates are carried but injected by those layers.
+    /// exactly (flips are involutive). Online learning writes around the
+    /// stuck cells ([`learn_sample`](Self::learn_sample) and
+    /// [`OnlineLearningEngine::teach_system`] set each back to its stuck
+    /// value before a column is written), so they hold until the plan is
+    /// swapped out. Transient faults (weight/membrane flips) take effect in
+    /// [`infer_checked`](Self::infer_checked); serve-/mesh-domain rates are
+    /// carried but injected by those layers.
     ///
     /// Install the plan **before** cloning worker systems so every clone
     /// shares the same stuck-at weights and plan.
@@ -526,6 +509,7 @@ impl EsamSystem {
         // tile before it fired last, which the walk keeps there, or the
         // input itself on a one-tile system.
         let clock = self.pipeline.clock_period();
+        let stuck = StuckCells::of(&self.faults, self.tiles.len() - 1);
         let (output, upstream) = self
             .tiles
             .split_last_mut()
@@ -533,7 +517,7 @@ impl EsamSystem {
         let pre_spikes = upstream.last().map_or(frame, Tile::fired);
         let mut cost = LearningCost::default();
         for &(neuron, signal) in &signals {
-            cost += engine.teach(output, clock, pre_spikes, neuron, signal)?;
+            cost += engine.teach_around(output, clock, pre_spikes, neuron, signal, stuck)?;
         }
         Ok(SampleOutcome {
             prediction,
@@ -695,51 +679,6 @@ impl EsamSystem {
         Ok(results)
     }
 
-    /// [`infer_block`](Self::infer_block) with per-layer cycle
-    /// attribution for each executed block.
-    ///
-    /// Under batch-major execution all lanes of a block advance in
-    /// lockstep through the bit-sliced tile, so a layer's occupancy for
-    /// the block is the **maximum** over its lanes' per-layer cycle
-    /// counts; blocks execute back to back, so each block contributes one
-    /// `layer-block` span per layer (lane count attached) and the cursor
-    /// advances by the block's summed per-layer maxima. Results are
-    /// bit-identical to [`infer_block`](Self::infer_block) — the
-    /// execution path is shared and attribution is post-hoc.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InputWidthMismatch`] when any frame has the
-    /// wrong width.
-    pub fn infer_block_scoped(
-        &mut self,
-        frames: &[BitVec],
-        scope: &mut TraceScope<'_>,
-    ) -> Result<Vec<InferenceResult>, CoreError> {
-        let results = self.infer_block(frames)?;
-        if let TraceScope::On(track) = scope {
-            let layers = self.tiles.len();
-            for block in results.chunks(FrameBlock::LANES) {
-                for layer in 0..layers {
-                    let cycles = block
-                        .iter()
-                        .map(|r| r.per_tile_cycles[layer])
-                        .max()
-                        .unwrap_or(0);
-                    track.span(
-                        "layer-block",
-                        cycles,
-                        [
-                            Some(("layer", layer as u64)),
-                            Some(("lanes", block.len() as u64)),
-                        ],
-                    );
-                }
-            }
-        }
-        Ok(results)
-    }
-
     /// Advances one ≤64-lane chunk through the cascade ([`walk_block`])
     /// and reads every lane out as its own result.
     fn infer_block_chunk(
@@ -771,57 +710,36 @@ impl EsamSystem {
     /// Finalization core shared by the sequential and parallel paths (and
     /// by external aggregators like the `esam-serve` worker pool): derives
     /// [`SystemMetrics`] from a cycle tally plus this system's accumulated
-    /// activity counters. Callers that ran frames on worker clones fold
-    /// them in first via [`absorb_stats`](Self::absorb_stats) and
-    /// [`BatchTally::merge`].
+    /// activity counters ([`SystemMetrics::modeled`]), and adds the
+    /// learning summary of a labelled batch. Callers that ran frames on
+    /// worker clones fold them in first via
+    /// [`absorb_stats`](Self::absorb_stats) and [`BatchTally::merge`].
     ///
     /// # Errors
     ///
     /// Propagates SRAM energy-model errors; returns
     /// [`CoreError::InvalidConfig`] for an empty tally.
     pub fn finalize_metrics(&self, tally: &BatchTally) -> Result<SystemMetrics, CoreError> {
-        if tally.frames == 0 {
-            return Err(CoreError::InvalidConfig(
-                "metrics need at least one frame".into(),
-            ));
-        }
-        let n = tally.frames as f64;
-        let bottleneck_cycles = tally.bottleneck_cycles as f64 / n;
-        let throughput = self.pipeline.throughput_for_cycles(bottleneck_cycles);
-        let energy_per_inf = self.accumulated_energy()? / n;
+        let mut metrics = SystemMetrics::modeled(&self.pipeline, tally, self.tiles.iter())?;
         // A learning batch is recognizable even when it applied zero
         // updates: only `record_outcome` advances `correct`, and a wrong
         // prediction always derives at least one teacher signal, so a
         // labelled batch has `learning_updates > 0 || correct > 0` while a
         // pure-inference batch has both at zero.
-        let learning = if tally.learning_updates == 0 && tally.correct == 0 {
-            None
-        } else {
-            Some(LearningSummary {
+        if tally.learning_updates > 0 || tally.correct > 0 {
+            metrics.learning = Some(LearningSummary {
                 samples: tally.frames,
                 updates: tally.learning_updates,
-                online_accuracy: tally.correct as f64 / n,
+                online_accuracy: tally.correct as f64 / tally.frames as f64,
                 cost: LearningCost {
                     cycles: tally.learning_cycles,
                     latency: self.pipeline.clock_period() * tally.learning_cycles as f64,
                     energy: self.learning_energy()?,
                     bits_flipped: tally.learning_bits_flipped as usize,
                 },
-            })
-        };
-        Ok(SystemMetrics {
-            clock: self.pipeline.clock_frequency(),
-            bottleneck_cycles,
-            throughput_inf_s: throughput,
-            latency: self
-                .pipeline
-                .seconds_for_cycles(tally.latency_cycles as f64 / n),
-            energy_per_inf,
-            dynamic_power: Watts::new(energy_per_inf.value() * throughput),
-            leakage_power: self.leakage_power(),
-            area: self.area(),
-            learning,
-        })
+            });
+        }
+        Ok(metrics)
     }
 
     /// Merges another system's activity counters into this one

@@ -1,10 +1,13 @@
 //! SRAM-domain fault-injection battery: determinism, exact revert,
-//! zero-cost-when-disabled, and thread-count independence of fault sites.
+//! zero-cost-when-disabled, thread-count independence of fault sites, and
+//! stuck-at cells that online learning cannot overwrite.
 
 use esam_bits::BitVec;
-use esam_core::{BatchConfig, BatchEngine, EsamSystem, SystemConfig};
+use esam_core::{
+    BatchConfig, BatchEngine, EsamSystem, IntegrityMode, OnlineLearningEngine, SystemConfig,
+};
 use esam_fault::{FaultConfig, FaultPlan};
-use esam_nn::{BnnNetwork, SnnModel};
+use esam_nn::{BnnNetwork, SnnModel, StdpRule};
 use esam_sram::BitcellKind;
 use proptest::prelude::*;
 use rand::RngExt;
@@ -132,6 +135,68 @@ fn stuck_at_keeps_the_block_path_transients_do_not() {
         .collect();
     for (id, result) in forward.iter().enumerate() {
         assert_eq!(result, &backward[7 - id], "frame {id} order-dependent");
+    }
+}
+
+/// Weight bits that differ between two [`output_weights`] snapshots.
+fn bits_changed(a: &[BitVec], b: &[BitVec]) -> usize {
+    a.iter()
+        .zip(b)
+        .flat_map(|(a, b)| a.words().iter().zip(b.words()))
+        .map(|(x, y)| (x ^ y).count_ones() as usize)
+        .sum()
+}
+
+#[test]
+fn stuck_cells_hold_through_learning_and_revert_exactly() {
+    let topology = [128, 10];
+    let model = SnnModel::from_bnn(&BnnNetwork::new(&topology, 3).unwrap()).unwrap();
+    let plan = FaultPlan::seeded(5, FaultConfig::none().with_stuck_rate(0.05));
+    let sites: Vec<(usize, usize, bool)> = (0..128)
+        .flat_map(|input| {
+            (0..10).filter_map(move |output| {
+                plan.stuck_site(0, input as u64, output as u64)
+                    .map(|value| (input, output, value))
+            })
+        })
+        .collect();
+    assert_eq!(sites.len(), 61);
+    let holds = |weights: &[BitVec]| sites.iter().all(|&(i, o, v)| weights[o].get(i) == v);
+    for cell in [BitcellKind::multiport(4).unwrap(), BitcellKind::Std6T] {
+        for mode in [IntegrityMode::Off, IntegrityMode::Correct] {
+            let config = SystemConfig::builder(cell, &topology).build().unwrap();
+            let mut system = EsamSystem::from_model(&model, &config).unwrap();
+            let pristine = output_weights(&system);
+            system.set_fault_plan(plan).unwrap();
+            system.set_integrity_mode(mode);
+            assert!(holds(&output_weights(&system)), "{cell} {mode:?}: install");
+            let mut engine = OnlineLearningEngine::new(StdpRule::new(1.0, 1.0), 9);
+            let mut taught = 0;
+            for (i, frame) in frames(20, 6).iter().enumerate() {
+                let before = output_weights(&system);
+                let outcome = system.learn_sample(&mut engine, frame, i % 10).unwrap();
+                let changed = bits_changed(&before, &output_weights(&system));
+                assert_eq!(
+                    outcome.cost.bits_flipped, changed,
+                    "{cell} {mode:?} sample {i}: only stored changes count"
+                );
+                taught += changed;
+            }
+            assert!(taught > 0, "{cell} {mode:?}: the samples taught something");
+            let learned = output_weights(&system);
+            assert!(
+                holds(&learned),
+                "{cell} {mode:?}: a stuck cell lost its value"
+            );
+            // Uninstalling restores each stuck site's pre-install value and
+            // leaves every other bit as learned.
+            let mut expected = learned;
+            for &(input, output, _) in &sites {
+                expected[output].set(input, pristine[output].get(input));
+            }
+            system.set_fault_plan(FaultPlan::none()).unwrap();
+            assert_eq!(output_weights(&system), expected, "{cell} {mode:?}");
+        }
     }
 }
 

@@ -1,12 +1,11 @@
-//! The observability contract of the inference hot path:
+//! The observability contract of the inference hot path: a frame's
+//! per-layer spans come from its result
+//! ([`InferenceResult::trace_layers`](esam_core::InferenceResult::trace_layers)),
+//! outside the inference itself.
 //!
-//! 1. [`EsamSystem::infer_scoped`] with [`TraceScope::Off`] is *exactly*
-//!    [`EsamSystem::infer`] — bit-identical results and not one extra heap
-//!    allocation (the disabled tracer is a single branch).
-//! 2. With tracing **on**, the results are still bit-identical and the
-//!    recording itself is allocation-free: events are `Copy` into the
+//! 1. Drawing the spans is allocation-free: events are `Copy` into the
 //!    track's preallocated ring.
-//! 3. The per-layer spans tile the frame's cycle interval exactly
+//! 2. The per-layer spans tile the frame's cycle interval exactly
 //!    (`sum(layer spans) == total_cycles`), and the cycle-domain Chrome
 //!    export is byte-identical across repeated runs.
 //!
@@ -17,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use esam_bits::BitVec;
-use esam_core::{EsamSystem, SystemConfig, TraceScope, TrackTrace};
+use esam_core::{EsamSystem, SystemConfig, TrackTrace};
 use esam_nn::{BnnNetwork, SnnModel};
 use esam_obs::{EventKind, TimeDomain, Trace};
 use esam_sram::BitcellKind;
@@ -70,60 +69,21 @@ fn frames(count: usize) -> Vec<BitVec> {
 }
 
 #[test]
-fn scoped_off_is_bit_identical_and_allocates_exactly_like_infer() {
-    let mut plain = system(11);
-    let mut scoped = system(11);
-    for frame in frames(8) {
-        // Warm both paths once so lazy one-time allocations (none are
-        // expected, but the contract is steady-state) cannot skew the
-        // comparison.
-        plain.infer(&frame).unwrap();
-        scoped.infer_scoped(&frame, &mut TraceScope::Off).unwrap();
-
-        let before = allocations();
-        let baseline = plain.infer(&frame).unwrap();
-        let baseline_allocs = allocations() - before;
-
-        let before = allocations();
-        let traced = scoped.infer_scoped(&frame, &mut TraceScope::Off).unwrap();
-        let scoped_allocs = allocations() - before;
-
-        assert_eq!(baseline, traced, "Off-scope result must be bit-identical");
-        assert_eq!(
-            scoped_allocs, baseline_allocs,
-            "a disabled scope must add zero allocations"
-        );
-    }
-}
-
-#[test]
-fn scoped_on_is_bit_identical_and_recording_is_allocation_free() {
-    let mut plain = system(23);
-    let mut scoped = system(23);
+fn drawing_layer_spans_allocates_nothing() {
+    let mut sys = system(23);
     let mut track = TrackTrace::new(0, 0, "core".to_string(), 4096);
     for frame in frames(8) {
-        plain.infer(&frame).unwrap();
-        scoped
-            .infer_scoped(&frame, &mut TraceScope::On(&mut track))
-            .unwrap();
-
+        let result = sys.infer(&frame).unwrap();
+        let start = track.cursor();
         let before = allocations();
-        let baseline = plain.infer(&frame).unwrap();
-        let baseline_allocs = allocations() - before;
-
-        let before = allocations();
-        let traced = scoped
-            .infer_scoped(&frame, &mut TraceScope::On(&mut track))
-            .unwrap();
-        let scoped_allocs = allocations() - before;
-
-        assert_eq!(baseline, traced, "On-scope result must be bit-identical");
+        result.trace_layers(&mut track, start);
         assert_eq!(
-            scoped_allocs, baseline_allocs,
-            "recording into the preallocated ring must add zero allocations"
+            allocations(),
+            before,
+            "recording into the preallocated ring must allocate nothing"
         );
     }
-    assert!(!track.is_empty(), "spans were recorded");
+    assert_eq!(track.len(), 8 * 2, "one span per frame and layer");
     assert_eq!(track.dropped(), 0, "the ring never filled");
 }
 
@@ -132,9 +92,8 @@ fn layer_spans_tile_the_frame_interval_exactly() {
     let mut sys = system(7);
     let mut track = TrackTrace::new(0, 0, "core".to_string(), 1024);
     let frame = &frames(1)[0];
-    let result = sys
-        .infer_scoped(frame, &mut TraceScope::On(&mut track))
-        .unwrap();
+    let result = sys.infer(frame).unwrap();
+    result.trace_layers(&mut track, 0);
 
     let spans: Vec<_> = track
         .events()
@@ -162,52 +121,13 @@ fn layer_spans_tile_the_frame_interval_exactly() {
 }
 
 #[test]
-fn block_scoped_matches_infer_block_bit_for_bit() {
-    let mut plain = system(31);
-    let mut scoped = system(31);
-    // 70 frames straddles the 64-lane block width: one full block plus a
-    // ragged 6-lane tail, each contributing its own layer-block spans.
-    let batch = frames(70);
-    let mut track = TrackTrace::new(0, 0, "block".to_string(), 1024);
-    let baseline = plain.infer_block(&batch).unwrap();
-    let traced = scoped
-        .infer_block_scoped(&batch, &mut TraceScope::On(&mut track))
-        .unwrap();
-    assert_eq!(baseline, traced);
-
-    // Two blocks × two tiles of spans, lane counts attached.
-    let spans: Vec<_> = track
-        .events()
-        .filter(|e| e.kind == EventKind::Span)
-        .collect();
-    assert_eq!(spans.len(), 4);
-    assert_eq!(spans[0].args[1], Some(("lanes", 64)));
-    assert_eq!(spans[3].args[1], Some(("lanes", 6)));
-    // Each block's layer span is the max over its lanes.
-    let expect: u64 = baseline[..64]
-        .iter()
-        .map(|r| r.per_tile_cycles[0])
-        .max()
-        .unwrap();
-    assert_eq!(spans[0].cycle_dur, expect);
-
-    // Off scope: same results, no events anywhere.
-    let mut off = system(31);
-    assert_eq!(
-        off.infer_block_scoped(&batch, &mut TraceScope::Off)
-            .unwrap(),
-        baseline
-    );
-}
-
-#[test]
 fn cycle_domain_export_is_byte_identical_across_runs() {
     let export = |seed: u64| {
         let mut sys = system(seed);
         let mut track = TrackTrace::new(0, 0, "core".to_string(), 1024);
         for frame in frames(5) {
-            sys.infer_scoped(&frame, &mut TraceScope::On(&mut track))
-                .unwrap();
+            let start = track.cursor();
+            sys.infer(&frame).unwrap().trace_layers(&mut track, start);
         }
         let mut trace = Trace::new();
         trace.name_process(0, "esam-core");

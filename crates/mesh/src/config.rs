@@ -1,5 +1,5 @@
-//! Mesh configuration: core count, interconnect cost model, channel
-//! sizing, execution mode, fault plan.
+//! Mesh configuration: core count, channel sizing, execution mode, fault
+//! plan, link timeout; and the interconnect cost model every link uses.
 
 use std::time::Duration;
 
@@ -67,7 +67,6 @@ pub enum Execution {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeshConfig {
     cores: usize,
-    link: LinkConfig,
     channel_capacity: usize,
     execution: Execution,
     faults: FaultPlan,
@@ -75,24 +74,17 @@ pub struct MeshConfig {
 }
 
 impl MeshConfig {
-    /// A mesh of `cores` cores with default interconnect and channel
-    /// depth, pipelined; no faults, no link timeout.
+    /// A mesh of `cores` cores with the default channel depth, pipelined;
+    /// no faults, no link timeout. Links cost
+    /// [`LinkConfig::paper_default`].
     pub fn with_cores(cores: usize) -> Self {
         Self {
             cores,
-            link: LinkConfig::paper_default(),
             channel_capacity: 4,
             execution: Execution::Pipelined,
             faults: FaultPlan::none(),
             link_timeout: None,
         }
-    }
-
-    /// Overrides the interconnect cost model.
-    #[must_use]
-    pub fn link(mut self, link: LinkConfig) -> Self {
-        self.link = link;
-        self
     }
 
     /// Overrides the per-link channel depth (in-flight packets per edge;
@@ -137,11 +129,6 @@ impl MeshConfig {
     /// [`MeshPlan::cores`](crate::MeshPlan::cores)).
     pub fn cores(&self) -> usize {
         self.cores
-    }
-
-    /// The interconnect cost model.
-    pub fn link_config(&self) -> &LinkConfig {
-        &self.link
     }
 
     /// Per-link channel depth.

@@ -101,7 +101,6 @@ use esam_core::{CoreError, InferenceResult, PipelineTiming, SystemConfig, System
 use esam_fault::FaultPlan;
 use esam_nn::SnnModel;
 use esam_obs::{Trace, TrackTrace, NO_ARGS};
-use esam_tech::units::{AreaUm2, Joules, Watts};
 
 use crate::config::{Execution, LinkConfig, MeshConfig};
 use crate::core::MeshCore;
@@ -362,7 +361,6 @@ impl Timeline {
 struct CoreSlot {
     core: MeshCore,
     ports: Vec<InPort>,
-    link: LinkConfig,
     faults: FaultPlan,
     /// Frames consumed since the last stats reset — the `t` coordinate of
     /// every fault decision at this core. Lost frames count too (the
@@ -477,7 +475,7 @@ impl CoreSlot {
                 return Ok(false);
             }
         }
-        let link = self.link;
+        let link = LinkConfig::paper_default();
         let armed = !exempt && faults.corrupt_active();
         let mut noc_in = 0u64;
         let mut pipe_in = 0u64;
@@ -782,7 +780,6 @@ impl MeshSystem {
                     membranes: Vec::new(),
                     core,
                     ports,
-                    link: *mesh.link_config(),
                     faults: *mesh.fault_plan(),
                     consumed: 0,
                     injected: MeshTally::default(),
@@ -870,16 +867,6 @@ impl MeshSystem {
         }
     }
 
-    /// Runs one frame through the mesh.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`run`](Self::run) errors.
-    pub fn infer(&mut self, frame: &BitVec) -> Result<InferenceResult, CoreError> {
-        let mut results = self.run(std::slice::from_ref(frame))?;
-        Ok(results.pop().expect("one frame in, one result out"))
-    }
-
     /// Runs a batch through the mesh, returning per-frame results in batch
     /// order. Activity accumulates in the tiles, links and
     /// [`tally`](Self::tally).
@@ -922,8 +909,10 @@ impl MeshSystem {
     }
 
     /// Finalizes the accumulated tally and counters into [`MeshMetrics`]
-    /// — a pure function of the merged integers, mirroring
-    /// `EsamSystem::finalize_metrics` for the tile half.
+    /// — a pure function of the merged integers. The tile half is
+    /// [`SystemMetrics::modeled`], the derivation
+    /// `EsamSystem::finalize_metrics` runs too; the mesh adds its link and
+    /// NoC figures.
     ///
     /// # Errors
     ///
@@ -931,34 +920,8 @@ impl MeshSystem {
     /// propagates SRAM energy-model errors.
     pub fn finalize_metrics(&self) -> Result<MeshMetrics, CoreError> {
         let tally = &self.tally;
-        if tally.tiles.frames == 0 {
-            return Err(CoreError::InvalidConfig(
-                "metrics need at least one frame".into(),
-            ));
-        }
+        let system = SystemMetrics::modeled(&self.pipeline, &tally.tiles, self.tiles())?;
         let n = tally.tiles.frames as f64;
-        let bottleneck_cycles = tally.tiles.bottleneck_cycles as f64 / n;
-        let throughput = self.pipeline.throughput_for_cycles(bottleneck_cycles);
-        let mut energy = Joules::ZERO;
-        for tile in self.tiles() {
-            energy += tile.dynamic_energy()?;
-        }
-        let energy_per_inf = energy / n;
-        let leakage_power: Watts = self.tiles().map(Tile::leakage_power).sum();
-        let area: AreaUm2 = self.tiles().map(Tile::area).sum();
-        let system = SystemMetrics {
-            clock: self.pipeline.clock_frequency(),
-            bottleneck_cycles,
-            throughput_inf_s: throughput,
-            latency: self
-                .pipeline
-                .seconds_for_cycles(tally.tiles.latency_cycles as f64 / n),
-            energy_per_inf,
-            dynamic_power: Watts::new(energy_per_inf.value() * throughput),
-            leakage_power,
-            area,
-            learning: None,
-        };
         let mesh_bottleneck_cycles = tally.mesh_bottleneck_cycles as f64 / n;
         let mut links: Vec<LinkStats> = self
             .slots
@@ -979,7 +942,7 @@ impl MeshSystem {
         })
     }
 
-    fn tiles(&self) -> impl Iterator<Item = &Tile> {
+    fn tiles(&self) -> impl Iterator<Item = &Tile> + Clone {
         self.slots.iter().flat_map(|slot| slot.core.tiles())
     }
 
@@ -1319,9 +1282,9 @@ mod tests {
         let mesh_config = MeshConfig::with_cores(1).execution(Execution::Sequential);
         let mut mesh = MeshSystem::from_model(&model, &config, &mesh_config).unwrap();
         assert_eq!(mesh.core_count(), 1);
-        for frame in frames(128, 6) {
-            assert_eq!(mesh.infer(&frame).unwrap(), plain.infer(&frame).unwrap());
-        }
+        let batch = frames(128, 6);
+        let expected: Vec<_> = batch.iter().map(|f| plain.infer(f).unwrap()).collect();
+        assert_eq!(mesh.run(&batch).unwrap(), expected);
         // A single stage has no links, so the mesh bottleneck is the whole
         // cascade and NoC latency is zero.
         assert_eq!(mesh.tally().noc_latency_cycles, 0);

@@ -205,9 +205,9 @@ proptest! {
 
 #[test]
 fn one_run_matches_one_frame_hand_offs() {
-    // `infer` sends its frame as a hand-off of its own; `run` packs the
-    // batch into multi-frame hand-offs. Results, tallies and every counter
-    // must not see the difference.
+    // A one-frame `run` sends its frame as a hand-off of its own; a batch
+    // `run` packs the frames into multi-frame hand-offs. Results, tallies
+    // and every counter must not see the difference.
     let topology = [128, 96, 64, 10];
     let (model, config) = model_and_config(&topology, 23);
     let batch = random_frames(128, 100, 7, 0.3);
@@ -215,7 +215,10 @@ fn one_run_matches_one_frame_hand_offs() {
     let mut batched = MeshSystem::from_model(&model, &config, &mesh_config).unwrap();
     let batched_results = batched.run(&batch).unwrap();
     let mut single = MeshSystem::from_model(&model, &config, &mesh_config).unwrap();
-    let single_results: Vec<_> = batch.iter().map(|f| single.infer(f).unwrap()).collect();
+    let single_results: Vec<_> = batch
+        .iter()
+        .flat_map(|f| single.run(std::slice::from_ref(f)).unwrap())
+        .collect();
     assert_eq!(batched_results, single_results);
     // The modeled NoC charges per frame either way, so the interconnect
     // tallies agree too.

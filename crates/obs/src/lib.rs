@@ -19,8 +19,8 @@
 //!   `&'static str`, args are plain `u64`s). When the ring is full the
 //!   oldest events are overwritten and a `dropped` counter ticks — a
 //!   long-lived service can never grow unbounded trace memory. Disabled
-//!   tracing is a single branch ([`TraceScope::Off`]), mirroring
-//!   `FaultPlan::none` in the fault layer.
+//!   tracing is no track at all: [`TraceConfig::track`] returns `None`,
+//!   and code that holds no track records nothing.
 //! * **Exact merge law** ([`Trace`]). Worker threads record into private
 //!   tracks (the workspace's shard-and-merge idiom — no shared mutable
 //!   state, no sampling); at finalize the tracks are merged and sorted by
@@ -66,8 +66,8 @@ pub mod trace;
 pub use hist::Histogram;
 pub use registry::{Metric, MetricsRegistry};
 pub use trace::{
-    EventArg, EventKind, TimeDomain, Trace, TraceConfig, TraceEvent, TraceScope, TrackSection,
-    TrackTrace, NO_ARGS,
+    EventArg, EventKind, TimeDomain, Trace, TraceConfig, TraceEvent, TrackSection, TrackTrace,
+    NO_ARGS,
 };
 
 /// Adds `add` into the counter `dst` under the workspace tally merge law:

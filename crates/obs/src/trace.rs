@@ -23,9 +23,9 @@
 //!   exact merge law the tally counters follow, so a trace assembled from
 //!   N worker tracks is independent of completion order.
 //!
-//! The disabled path is [`TraceScope::Off`]: instrumented code takes a
-//! `&mut TraceScope` and every recording helper is a single enum match —
-//! the same near-zero-cost shape as `FaultPlan::none` in the fault layer.
+//! Tracing is opt-in by ownership: instrumented code holds an
+//! `Option<TrackTrace>` (see [`TraceConfig::track`]) and records only when
+//! it is `Some`, so untraced code never touches the tracer.
 
 use std::time::Instant;
 
@@ -51,7 +51,7 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Tracing off — recording helpers reduce to a branch.
+    /// Tracing off — [`track`](Self::track) creates no track.
     pub fn disabled() -> Self {
         Self {
             enabled: false,
@@ -575,60 +575,6 @@ fn chrome_event(track: &TrackSection, event: &TraceEvent, domain: TimeDomain) ->
     }
 }
 
-/// The instrumented-code handle: either off (a single branch per call)
-/// or actively recording into a borrowed track. Hot paths take a
-/// `&mut TraceScope` so the disabled case stays allocation-free and
-/// branch-cheap, like `FaultPlan::none`.
-#[derive(Debug, Default)]
-pub enum TraceScope<'a> {
-    /// Tracing disabled — every helper is a no-op after one match.
-    #[default]
-    Off,
-    /// Tracing into this track.
-    On(&'a mut TrackTrace),
-}
-
-impl<'a> TraceScope<'a> {
-    /// Scope over an optional track (`None` ⇒ off) — the bridge from
-    /// config-held `Option<TrackTrace>` fields.
-    pub fn over(track: Option<&'a mut TrackTrace>) -> Self {
-        match track {
-            Some(t) => TraceScope::On(t),
-            None => TraceScope::Off,
-        }
-    }
-
-    /// Whether the scope is actively recording.
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        matches!(self, TraceScope::On(_))
-    }
-
-    /// Records an instant (no-op when off).
-    #[inline]
-    pub fn instant(&mut self, name: &'static str, args: [Option<EventArg>; 2]) {
-        if let TraceScope::On(track) = self {
-            track.instant(name, args);
-        }
-    }
-
-    /// Records a cursor-advancing span (no-op when off).
-    #[inline]
-    pub fn span(&mut self, name: &'static str, cycle_dur: u64, args: [Option<EventArg>; 2]) {
-        if let TraceScope::On(track) = self {
-            track.span(name, cycle_dur, args);
-        }
-    }
-
-    /// Advances the cycle cursor (no-op when off).
-    #[inline]
-    pub fn advance(&mut self, cycles: u64) {
-        if let TraceScope::On(track) = self {
-            track.advance(cycles);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,27 +697,6 @@ mod tests {
         assert!(a.contains("\"ph\":\"i\""));
         assert!(a.contains("\"ph\":\"M\""));
         assert!(a.contains("\"process_name\""));
-    }
-
-    #[test]
-    fn scope_off_is_a_noop() {
-        let mut scope = TraceScope::Off;
-        scope.span("x", 5, NO_ARGS);
-        scope.instant("y", NO_ARGS);
-        scope.advance(3);
-        assert!(!scope.is_on());
-    }
-
-    #[test]
-    fn scope_on_records_into_the_borrowed_track() {
-        let mut t = track();
-        {
-            let mut scope = TraceScope::On(&mut t);
-            scope.span("x", 5, NO_ARGS);
-            assert!(scope.is_on());
-        }
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.cursor(), 5);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use esam_core::{
     BatchTally, EsamSystem, InferenceResult, IntegrityMode, IntegrityTally, SystemMetrics,
 };
 use esam_fault::{FaultPlan, FaultTally};
-use esam_obs::{Trace, TraceConfig, TraceScope, TrackTrace};
+use esam_obs::{Trace, TraceConfig, TrackTrace};
 use esam_tech::units::{Joules, Seconds};
 
 use crate::batcher::BatchPolicy;
@@ -589,11 +589,12 @@ impl Drop for EsamService {
 /// latency sample; returns 1 on failure (for the batch's failure count).
 /// The worker loop's one fulfilment site.
 ///
-/// When tracing is on, this is also where the request's timeline is
-/// recorded: a `queue-wait` span from the modeled arrival cycle to the
+/// When the worker has a track, this is also where the request's timeline
+/// is recorded: a `queue-wait` span from the modeled arrival cycle to the
 /// worker's cursor, an `infer` span tiled by per-layer `layer` spans
-/// (the cascade's exact per-tile cycle attribution), and a `fulfil`
-/// instant — or a `request-failed` instant on the error path.
+/// ([`InferenceResult::trace_layers`], the cascade's exact per-tile cycle
+/// attribution), and a `fulfil` instant — or a `request-failed` instant on
+/// the error path.
 fn fulfil(
     request: PendingRequest,
     outcome: Result<InferenceResult, ServeError>,
@@ -601,7 +602,7 @@ fn fulfil(
     size: usize,
     tally: &mut BatchTally,
     samples: &mut Vec<BatchSamples>,
-    scope: &mut TraceScope<'_>,
+    track: Option<&mut TrackTrace>,
 ) -> u64 {
     let queue_wait = dispatch.saturating_duration_since(request.submitted);
     match outcome {
@@ -610,7 +611,7 @@ fn fulfil(
             let wall_latency = request.submitted.elapsed();
             let pipeline_cycles = result.total_cycles();
             let bottleneck_cycles = result.bottleneck_cycles();
-            if let TraceScope::On(track) = scope {
+            if let Some(track) = track {
                 let arrival = request.arrival_cycle.unwrap_or_else(|| track.cursor());
                 let start = track.cursor().max(arrival);
                 track.span_at(
@@ -629,12 +630,7 @@ fn fulfil(
                     wall_dur,
                     [Some(("request", request.id)), Some(("batch", size as u64))],
                 );
-                let mut at = start;
-                for (layer, &cycles) in result.per_tile_cycles.iter().enumerate() {
-                    track.span_at("layer", at, cycles, [Some(("layer", layer as u64)), None]);
-                    at += cycles;
-                }
-                track.set_cursor(start.saturating_add(pipeline_cycles));
+                result.trace_layers(track, start);
                 track.instant("fulfil", [Some(("request", request.id)), None]);
             }
             samples.push(BatchSamples {
@@ -656,7 +652,9 @@ fn fulfil(
             0
         }
         Err(error) => {
-            scope.instant("request-failed", [Some(("request", request.id)), None]);
+            if let Some(track) = track {
+                track.instant("request-failed", [Some(("request", request.id)), None]);
+            }
             request.slot.complete(Err(error));
             1
         }
@@ -775,7 +773,7 @@ fn worker_loop(
                         size,
                         &mut tally,
                         &mut samples,
-                        &mut TraceScope::over(track.as_mut()),
+                        track.as_mut(),
                     );
                     // Quarantine: the worker's arrays take too many
                     // uncorrectable hits, so drain it (its counters are

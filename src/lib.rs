@@ -85,7 +85,7 @@ pub mod prelude {
     pub use esam_nn::{
         BnnNetwork, Dataset, DigitsConfig, SnnModel, StdpRule, TeacherSignal, TrainConfig, Trainer,
     };
-    pub use esam_obs::{MetricsRegistry, TimeDomain, Trace, TraceConfig, TraceScope, TrackTrace};
+    pub use esam_obs::{MetricsRegistry, TimeDomain, Trace, TraceConfig, TrackTrace};
     pub use esam_serve::{
         AdmissionPolicy, BatchPolicy, EsamService, LoadGenerator, LoadMode, ServeConfig,
         ServiceReport,
