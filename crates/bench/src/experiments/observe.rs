@@ -38,10 +38,10 @@ use std::time::Duration;
 
 use esam_bits::BitVec;
 use esam_core::{CoreError, EsamSystem, SystemConfig, TrackTrace};
-use esam_mesh::{Execution, MeshConfig, MeshSystem, MESH_TRACE_PID};
+use esam_mesh::{MeshConfig, MeshSystem, MESH_TRACE_PID};
 use esam_nn::{BnnNetwork, SnnModel};
 use esam_obs::{
-    json_escape, EventKind, Histogram, MetricsRegistry, TimeDomain, Trace, TraceConfig,
+    json_escape, EventKind, Histogram, MetricsRegistry, Tally, TimeDomain, Trace, TraceConfig,
 };
 use esam_serve::{
     BatchPolicy, EsamService, FaultConfig, FaultPlan, IntegrityMode, ServeConfig, ServeError,
@@ -120,6 +120,12 @@ fn synthetic_frames(width: usize, count: usize) -> Vec<BitVec> {
         .collect()
 }
 
+/// Adds every counter `tally` declares to `registry`, as
+/// `{prefix}_{field}_total`.
+fn export_tally(registry: &mut MetricsRegistry, prefix: &str, tally: &impl Tally) {
+    tally.visit(|field, value| registry.add_counter(&format!("{prefix}_{field}_total"), value));
+}
+
 /// Runs the experiment: `samples` scales the serve request count (≥ 4) and
 /// the mesh frame count (clamped to 4..=64).
 ///
@@ -186,7 +192,6 @@ pub fn observe_results(samples: usize) -> Result<ObserveResults, BenchError> {
     let mesh_sys_config =
         SystemConfig::builder(BitcellKind::multiport(2).unwrap(), &mesh_topology).build()?;
     let mesh_config = MeshConfig::with_cores(3)
-        .execution(Execution::Sequential)
         // Light in-flight corruption: the CRC verify + NACK/retransmit
         // series are live and the timeline carries `packet-corrupt`
         // instants, while results stay exact.
@@ -202,6 +207,7 @@ pub fn observe_results(samples: usize) -> Result<ObserveResults, BenchError> {
     // --- Merge the three subsystem traces under the sorted-track law. ---
     let serve_counters = (report.admitted, report.completed, report.batches);
     let serve_integrity = report.integrity;
+    let serve_faults = report.fault_tally;
     let serve_quarantines = report.quarantines;
     let mut trace = Trace::new();
     trace.name_process(CORE_TRACE_PID, "esam-core");
@@ -254,23 +260,17 @@ pub fn observe_results(samples: usize) -> Result<ObserveResults, BenchError> {
 
     // --- The unified metrics snapshot. ---
     let mut registry = MetricsRegistry::new();
+    export_tally(&mut registry, "serve_integrity", &serve_integrity);
+    export_tally(&mut registry, "serve_fault", &serve_faults);
+    export_tally(&mut registry, "mesh", &mesh_tally);
     registry.add_counter("serve_requests_admitted_total", serve_counters.0);
     registry.add_counter("serve_requests_completed_total", serve_counters.1);
     registry.add_counter("serve_batches_total", serve_counters.2);
     registry.add_counter("mesh_frames_total", mesh_batch.len() as u64);
-    registry.add_counter("mesh_packets_dropped_total", mesh_tally.packets_dropped);
-    registry.add_counter("mesh_packets_corrupted_total", mesh_tally.packets_corrupted);
-    registry.add_counter("mesh_retransmits_total", mesh_tally.retransmits);
-    registry.add_counter(
-        "serve_integrity_checked_reads_total",
-        serve_integrity.checked_reads,
-    );
-    registry.add_counter("serve_integrity_corrected_total", serve_integrity.corrected);
     registry.add_counter(
         "serve_integrity_uncorrectable_total",
         serve_integrity.uncorrectable(),
     );
-    registry.add_counter("serve_integrity_silent_total", serve_integrity.silent);
     registry.add_counter("serve_quarantines_total", serve_quarantines);
     registry.add_counter("trace_events_total", trace.total_events());
     registry.add_counter("trace_dropped_total", trace.total_dropped());

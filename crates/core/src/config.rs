@@ -33,7 +33,6 @@ pub struct SystemConfig {
     vprech: Volts,
     neuron: NeuronConfig,
     arbiter_structure: EncoderStructure,
-    input_activity_hint: f64,
 }
 
 impl SystemConfig {
@@ -48,7 +47,6 @@ impl SystemConfig {
                 vprech: Volts::from_mv(paper::VPRECH_MV),
                 neuron: NeuronConfig::paper_default(),
                 arbiter_structure: EncoderStructure::Tree { base_width: 16 },
-                input_activity_hint: 0.2,
             },
         }
     }
@@ -97,12 +95,6 @@ impl SystemConfig {
         self.cell.inference_parallelism()
     }
 
-    /// Expected input-frame activity (fraction of active pixels); used only
-    /// for reporting, never for functional behaviour.
-    pub fn input_activity_hint(&self) -> f64 {
-        self.input_activity_hint
-    }
-
     /// The SRAM array configuration for a `rows × cols` block of this
     /// system.
     ///
@@ -125,11 +117,6 @@ impl SystemConfig {
         if self.topology.contains(&0) {
             return Err(CoreError::InvalidConfig(
                 "layer widths must be non-zero".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.input_activity_hint) {
-            return Err(CoreError::InvalidConfig(
-                "input activity hint must be a fraction in [0, 1]".into(),
             ));
         }
         // Every block an ESAM tile instantiates must satisfy the NBL rule;
@@ -227,12 +214,6 @@ pub struct SystemConfigBuilder {
 }
 
 impl SystemConfigBuilder {
-    /// Sets the supply voltage (default 700 mV).
-    pub fn vdd(mut self, vdd: Volts) -> Self {
-        self.config.vdd = vdd;
-        self
-    }
-
     /// Sets the decoupled-port precharge rail (default 500 mV).
     pub fn vprech(mut self, vprech: Volts) -> Self {
         self.config.vprech = vprech;
@@ -242,18 +223,6 @@ impl SystemConfigBuilder {
     /// Sets the neuron datapath configuration.
     pub fn neuron(mut self, neuron: NeuronConfig) -> Self {
         self.config.neuron = neuron;
-        self
-    }
-
-    /// Sets the arbiter encoder structure.
-    pub fn arbiter_structure(mut self, structure: EncoderStructure) -> Self {
-        self.config.arbiter_structure = structure;
-        self
-    }
-
-    /// Sets the expected input activity (reporting hint).
-    pub fn input_activity_hint(mut self, activity: f64) -> Self {
-        self.config.input_activity_hint = activity;
         self
     }
 
@@ -301,10 +270,8 @@ mod tests {
     #[test]
     fn builder_customization() {
         let config = SystemConfig::builder(BitcellKind::multiport(1).unwrap(), &[256, 128, 10])
-            .input_activity_hint(0.5)
             .build()
             .unwrap();
-        assert_eq!(config.input_activity_hint(), 0.5);
         assert_eq!(config.topology(), &[256, 128, 10]);
     }
 

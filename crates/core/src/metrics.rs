@@ -19,7 +19,6 @@
 
 use std::fmt;
 
-use esam_obs::tally_add;
 use esam_tech::units::{AreaUm2, Hertz, Joules, Seconds, Watts};
 
 use crate::error::CoreError;
@@ -28,31 +27,33 @@ use crate::pipeline::PipelineTiming;
 use crate::system::InferenceResult;
 use crate::tile::Tile;
 
-/// Raw cycle tallies accumulated while running a batch (or a shard of one).
-///
-/// This is the integer half of the merge law (see the module docs): tallies
-/// from any partition of a batch [`merge`](Self::merge) into exactly the
-/// tallies of the sequential run. Online-learning activity folds in through
-/// the same law — the learning fields are plain `u64` counters advanced by
-/// [`record_outcome`](Self::record_outcome) and stay zero for
-/// pure-inference batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchTally {
-    /// Frames processed.
-    pub frames: u64,
-    /// Summed bottleneck-tile cycles (pipelined throughput numerator).
-    pub bottleneck_cycles: u64,
-    /// Summed whole-cascade cycles (latency numerator).
-    pub latency_cycles: u64,
-    /// Predictions that matched their label *before* any weight update
-    /// (online accuracy numerator; zero for unlabelled batches).
-    pub correct: u64,
-    /// Weight-column updates applied by the learning engine.
-    pub learning_updates: u64,
-    /// SRAM cycles consumed by those updates.
-    pub learning_cycles: u64,
-    /// Weight bits flipped by those updates.
-    pub learning_bits_flipped: u64,
+esam_obs::counters! {
+    /// Raw cycle tallies accumulated while running a batch (or a shard of one).
+    ///
+    /// This is the integer half of the merge law (see the module docs): tallies
+    /// from any partition of a batch [`merge`](Self::merge) into exactly the
+    /// tallies of the sequential run. Online-learning activity folds in through
+    /// the same law — the learning fields are plain `u64` counters advanced by
+    /// [`record_outcome`](Self::record_outcome) and stay zero for
+    /// pure-inference batches.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct BatchTally {
+        /// Frames processed.
+        pub frames: u64,
+        /// Summed bottleneck-tile cycles (pipelined throughput numerator).
+        pub bottleneck_cycles: u64,
+        /// Summed whole-cascade cycles (latency numerator).
+        pub latency_cycles: u64,
+        /// Predictions that matched their label *before* any weight update
+        /// (online accuracy numerator; zero for unlabelled batches).
+        pub correct: u64,
+        /// Weight-column updates applied by the learning engine.
+        pub learning_updates: u64,
+        /// SRAM cycles consumed by those updates.
+        pub learning_cycles: u64,
+        /// Weight bits flipped by those updates.
+        pub learning_bits_flipped: u64,
+    }
 }
 
 impl BatchTally {
@@ -73,19 +74,6 @@ impl BatchTally {
         self.learning_updates += outcome.updates as u64;
         self.learning_cycles += outcome.cost.cycles;
         self.learning_bits_flipped += outcome.cost.bits_flipped as u64;
-    }
-
-    /// Adds another shard's tallies into this one (exact). Overflow is
-    /// loud in debug builds and saturates in release, so a pegged counter
-    /// can never wrap into a plausible-looking small number.
-    pub fn merge(&mut self, other: &BatchTally) {
-        tally_add(&mut self.frames, other.frames);
-        tally_add(&mut self.bottleneck_cycles, other.bottleneck_cycles);
-        tally_add(&mut self.latency_cycles, other.latency_cycles);
-        tally_add(&mut self.correct, other.correct);
-        tally_add(&mut self.learning_updates, other.learning_updates);
-        tally_add(&mut self.learning_cycles, other.learning_cycles);
-        tally_add(&mut self.learning_bits_flipped, other.learning_bits_flipped);
     }
 }
 
@@ -252,36 +240,6 @@ impl fmt::Display for SystemMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tally_merge_is_plain_addition() {
-        let mut a = BatchTally {
-            frames: 3,
-            bottleneck_cycles: 30,
-            latency_cycles: 90,
-            correct: 2,
-            learning_updates: 4,
-            learning_cycles: 32,
-            learning_bits_flipped: 11,
-        };
-        let b = BatchTally {
-            frames: 2,
-            bottleneck_cycles: 25,
-            latency_cycles: 70,
-            correct: 1,
-            learning_updates: 1,
-            learning_cycles: 8,
-            learning_bits_flipped: 3,
-        };
-        a.merge(&b);
-        assert_eq!(a.frames, 5);
-        assert_eq!(a.bottleneck_cycles, 55);
-        assert_eq!(a.latency_cycles, 160);
-        assert_eq!(a.correct, 3);
-        assert_eq!(a.learning_updates, 5);
-        assert_eq!(a.learning_cycles, 40);
-        assert_eq!(a.learning_bits_flipped, 14);
-    }
 
     #[test]
     fn learning_tally_accumulates() {

@@ -249,7 +249,10 @@ impl EsamSystem {
     /// stuck cells ([`learn_sample`](Self::learn_sample) and
     /// [`OnlineLearningEngine::teach_system`] set each back to its stuck
     /// value before a column is written), so they hold until the plan is
-    /// swapped out. Transient faults (weight/membrane flips) take effect in
+    /// swapped out. A checked tile whose stuck bits change re-encodes its
+    /// codewords and golden image, so the scrub keeps them too, whichever
+    /// of this and [`set_integrity_mode`](Self::set_integrity_mode) comes
+    /// first. Transient faults (weight/membrane flips) take effect in
     /// [`infer_checked`](Self::infer_checked); serve-/mesh-domain rates are
     /// carried but injected by those layers.
     ///
@@ -261,11 +264,10 @@ impl EsamSystem {
     /// Propagates SRAM bounds errors (impossible for in-range topologies).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), CoreError> {
         // Revert the previous plan's materialized stuck bits.
-        for index in 0..self.stuck_flips.len() {
-            let (layer, input, output) = self.stuck_flips[index];
+        let reverted = std::mem::take(&mut self.stuck_flips);
+        for &(layer, input, output) in &reverted {
             self.tiles[layer].toggle_weight_bit(input, output)?;
         }
-        self.stuck_flips.clear();
         self.stuck_bits = 0;
         self.faults = plan;
         self.fault_tally = FaultTally::default();
@@ -286,6 +288,16 @@ impl EsamSystem {
                         }
                     }
                 }
+            }
+        }
+        // A toggle is a strike, which the next checked scrub would undo.
+        // The store is clean between frames, so a checked tile whose stuck
+        // bits moved re-encodes its codewords and golden image from it.
+        let moved = reverted.iter().chain(&self.stuck_flips);
+        for (index, tile) in self.tiles.iter_mut().enumerate() {
+            let mode = tile.integrity_mode();
+            if mode.checks() && moved.clone().any(|&(layer, ..)| layer == index) {
+                tile.set_integrity_mode(mode);
             }
         }
         Ok(())
@@ -372,14 +384,12 @@ impl EsamSystem {
     /// [`Tile::set_integrity_mode`]): [`Detect`](IntegrityMode::Detect) /
     /// [`Correct`](IntegrityMode::Correct) encode SECDED
     /// codewords from the current weights and capture the golden off-chip
-    /// image the scrub pass reloads from.
+    /// image the scrub pass reloads from. Materialized stuck-at bits are
+    /// part of both, in either order with
+    /// [`set_fault_plan`](Self::set_fault_plan).
     ///
-    /// Enable **after** [`set_fault_plan`](Self::set_fault_plan) when
-    /// stuck-at faults are active: the plan materializes stuck bits into
-    /// the weights, and enabling afterwards folds them into the codewords
-    /// and golden image (a stuck cell is part of the fabricated array, not
-    /// a transient upset for scrub to undo). Enable **before** cloning
-    /// worker systems so clones share codewords and golden image.
+    /// Enable **before** cloning worker systems so clones share codewords
+    /// and golden image.
     pub fn set_integrity_mode(&mut self, mode: IntegrityMode) {
         self.integrity = mode;
         for tile in &mut self.tiles {

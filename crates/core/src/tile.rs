@@ -60,37 +60,27 @@ const TILE_LOGIC_LEAK_FRACTION: f64 = 0.15;
 /// column, start on a word boundary and span at most this many words.
 const GROUP_WORDS: usize = ARRAY_DIM / BitVec::WORD_BITS;
 
-/// Activity counters of one tile, reconstructing spike-by-spike energy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TileStats {
-    /// Cycles in which at least one spike was served (idle cycles are
-    /// clock-gated, following the event-driven designs the paper cites).
-    pub active_cycles: u64,
-    /// Total grants issued (spikes served).
-    pub grants: u64,
-    /// Spikes injected into the request register.
-    pub spikes_in: u64,
-    /// `R_empty` fire/compare events.
-    pub timesteps: u64,
-    /// Port bits integrated by the neuron array.
-    pub neuron_bits: u64,
-}
-
-impl TileStats {
-    /// Adds another tile's counters into this one.
+esam_obs::counters! {
+    /// Activity counters of one tile, reconstructing spike-by-spike energy.
     ///
-    /// This is the tile-level merge law of the batch engine: every field is
-    /// a plain sum over processed spikes/cycles, and `u64` addition is
-    /// associative and commutative, so merging per-worker counters yields
-    /// exactly the counters a sequential run over the concatenated frames
-    /// would have produced — which makes the derived energy figures
-    /// bit-identical too (they are pure functions of the counters).
-    pub fn merge(&mut self, other: &TileStats) {
-        self.active_cycles += other.active_cycles;
-        self.grants += other.grants;
-        self.spikes_in += other.spikes_in;
-        self.timesteps += other.timesteps;
-        self.neuron_bits += other.neuron_bits;
+    /// Every field is a plain sum over processed spikes and cycles, so
+    /// merging per-worker counters yields exactly the counters a sequential
+    /// run over the concatenated frames would have produced, and the
+    /// derived energy figures (pure functions of the counters) are
+    /// bit-identical too.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct TileStats {
+        /// Cycles in which at least one spike was served (idle cycles are
+        /// clock-gated, following the event-driven designs the paper cites).
+        pub active_cycles: u64,
+        /// Total grants issued (spikes served).
+        pub grants: u64,
+        /// Spikes injected into the request register.
+        pub spikes_in: u64,
+        /// `R_empty` fire/compare events.
+        pub timesteps: u64,
+        /// Port bits integrated by the neuron array.
+        pub neuron_bits: u64,
     }
 }
 
@@ -489,7 +479,7 @@ impl Tile {
     }
 
     /// Merges another tile's activity counters into this one (the batch
-    /// engine's shard→merge step; see [`TileStats::merge`] for why this is
+    /// engine's shard→merge step; see [`TileStats`] for why this is
     /// exact).
     ///
     /// Only the per-clone counters are merged: learning counters inside

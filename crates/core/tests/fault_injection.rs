@@ -1,6 +1,7 @@
 //! SRAM-domain fault-injection battery: determinism, exact revert,
 //! zero-cost-when-disabled, thread-count independence of fault sites, and
-//! stuck-at cells that online learning cannot overwrite.
+//! stuck-at cells that neither online learning nor the checked scrub can
+//! overwrite.
 
 use esam_bits::BitVec;
 use esam_core::{
@@ -196,6 +197,55 @@ fn stuck_cells_hold_through_learning_and_revert_exactly() {
             }
             system.set_fault_plan(FaultPlan::none()).unwrap();
             assert_eq!(output_weights(&system), expected, "{cell} {mode:?}");
+        }
+    }
+}
+
+#[test]
+fn stuck_cells_hold_under_checked_integrity_in_either_order() {
+    let topology = [128, 10];
+    let model = SnnModel::from_bnn(&BnnNetwork::new(&topology, 3).unwrap()).unwrap();
+    let stuck = FaultConfig::none().with_stuck_rate(0.05);
+    let struck = FaultPlan::seeded(5, stuck.with_weight_flip_rate(2e-3));
+    let sites: Vec<(usize, usize, bool)> = (0..128)
+        .flat_map(|input| {
+            (0..10).filter_map(move |output| {
+                struck
+                    .stuck_site(0, input as u64, output as u64)
+                    .map(|value| (input, output, value))
+            })
+        })
+        .collect();
+    assert_eq!(sites.len(), 61);
+    let holds = |weights: &[BitVec]| sites.iter().all(|&(i, o, v)| weights[o].get(i) == v);
+    let batch = frames(4, 8);
+    for cell in [BitcellKind::multiport(4).unwrap(), BitcellKind::Std6T] {
+        for mode in [IntegrityMode::Detect, IntegrityMode::Correct] {
+            for integrity_first in [true, false] {
+                let case = format!("{cell} {mode:?} integrity first: {integrity_first}");
+                let config = SystemConfig::builder(cell, &topology).build().unwrap();
+                let mut system = EsamSystem::from_model(&model, &config).unwrap();
+                let pristine = output_weights(&system);
+                if integrity_first {
+                    system.set_integrity_mode(mode);
+                }
+                system.set_fault_plan(struck).unwrap();
+                if !integrity_first {
+                    system.set_integrity_mode(mode);
+                }
+                // Each checked frame's scrub keeps the stuck values.
+                for (id, frame) in batch.iter().enumerate() {
+                    system.infer_checked(frame, id as u64).unwrap();
+                    assert!(holds(&output_weights(&system)), "{case}: frame {id}");
+                }
+                // Uninstalling restores the weights, and the scrub keeps
+                // them restored.
+                system.set_fault_plan(transient_plan(7)).unwrap();
+                for (id, frame) in batch.iter().enumerate() {
+                    system.infer_checked(frame, id as u64).unwrap();
+                    assert_eq!(output_weights(&system), pristine, "{case}: frame {id}");
+                }
+            }
         }
     }
 }

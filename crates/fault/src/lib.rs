@@ -473,24 +473,16 @@ impl Default for FaultPlan {
     }
 }
 
-/// SRAM-domain injection counters, merged under the workspace's exact u64
-/// law (plain sums — bit-identical at any thread or core count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultTally {
-    /// Transient weight-bit flips applied (counted once per faulted frame,
-    /// not double-counted for the post-frame revert).
-    pub weight_flips: u64,
-    /// Membrane-word upsets applied.
-    pub membrane_flips: u64,
-}
-
-impl FaultTally {
-    /// Adds another tally's counts into this one (exact integer sums).
-    /// Overflow is loud in debug builds and saturates in release (see
-    /// [`esam_obs::tally_add`]).
-    pub fn merge(&mut self, other: &FaultTally) {
-        esam_obs::tally_add(&mut self.weight_flips, other.weight_flips);
-        esam_obs::tally_add(&mut self.membrane_flips, other.membrane_flips);
+esam_obs::counters! {
+    /// SRAM-domain injection counters, merged under the workspace's exact u64
+    /// law (plain sums — bit-identical at any thread or core count).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct FaultTally {
+        /// Transient weight-bit flips applied (counted once per faulted frame,
+        /// not double-counted for the post-frame revert).
+        pub weight_flips: u64,
+        /// Membrane-word upsets applied.
+        pub membrane_flips: u64,
     }
 }
 
@@ -607,25 +599,6 @@ mod tests {
         );
         let differs = (0..200u64).any(|t| plan.packet_drop(t, 0, 1) != plan.packet_delay(t, 0, 1));
         assert!(differs, "drop and delay share sites — domain keys collide");
-    }
-
-    #[test]
-    fn fault_tally_merge_is_plain_addition() {
-        let mut a = FaultTally {
-            weight_flips: 3,
-            membrane_flips: 5,
-        };
-        a.merge(&FaultTally {
-            weight_flips: 10,
-            membrane_flips: 1,
-        });
-        assert_eq!(
-            a,
-            FaultTally {
-                weight_flips: 13,
-                membrane_flips: 6,
-            }
-        );
     }
 
     proptest! {

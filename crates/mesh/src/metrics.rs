@@ -12,76 +12,55 @@
 use std::fmt;
 
 use esam_core::{BatchTally, SystemMetrics};
-use esam_obs::tally_add;
 use esam_tech::units::Seconds;
 
 use crate::noc::LinkStats;
 
-/// Integer tallies of a mesh run: the single-core [`BatchTally`] plus the
-/// interconnect's additions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MeshTally {
-    /// The tile-side tallies — identical to what the single-core walk
-    /// records for the same frames.
-    pub tiles: BatchTally,
-    /// Summed per-frame mesh bottlenecks: `max(core occupancies, link
-    /// cycles)` per frame. The pipelined-throughput numerator of the mesh
-    /// (compare [`BatchTally::bottleneck_cycles`], the single-core tile
-    /// bottleneck).
-    pub mesh_bottleneck_cycles: u64,
-    /// Summed per-frame critical-path interconnect cycles (hop +
-    /// serialization along the longest input → readout chain).
-    pub noc_latency_cycles: u64,
-    /// AER packets lost to injected link faults (consumer-side verdicts;
-    /// the affected frames are re-run on the recovery path).
-    pub packets_dropped: u64,
-    /// AER packets that took an injected congestion delay (the extra
-    /// cycles land in the NoC and bottleneck accumulators).
-    pub packets_delayed: u64,
-    /// Link transmission attempts whose payload took an injected
-    /// in-flight upset and was flagged by the consumer's CRC verify
-    /// (every one of them — a missed upset would abort the run).
-    pub packets_corrupted: u64,
-    /// NACK-triggered retransmissions issued after those CRC mismatches
-    /// (at most [`MAX_RETRANSMITS`](crate::MAX_RETRANSMITS) per hand-off
-    /// and edge; exhausting the budget loses the frame to the recovery
-    /// pass instead).
-    pub retransmits: u64,
-    /// Injected core stalls (extra occupancy cycles on the stalled
-    /// hand-off).
-    pub core_stalls: u64,
-    /// Core pipeline threads killed by injected panics. Pipelined
-    /// execution only; the count of *in-flight* work lost with a thread is
-    /// scheduling-dependent, so determinism suites must not compare this
-    /// field (everything else in the tally stays exact).
-    pub core_panics: u64,
-    /// Sink-side link timeouts that tripped the liveness backstop
-    /// ([`MeshConfig::link_timeout`](crate::MeshConfig::link_timeout)).
-    pub link_timeouts: u64,
-    /// Frames whose readout was lost mid-mesh and re-run on the
-    /// fault-exempt sequential recovery path.
-    pub frames_recovered: u64,
-}
-
-impl MeshTally {
-    /// Adds another shard's tallies into this one (exact). Overflow is
-    /// loud in debug builds and saturates in release (see
-    /// [`esam_obs::tally_add`]).
-    pub fn merge(&mut self, other: &MeshTally) {
-        self.tiles.merge(&other.tiles);
-        tally_add(
-            &mut self.mesh_bottleneck_cycles,
-            other.mesh_bottleneck_cycles,
-        );
-        tally_add(&mut self.noc_latency_cycles, other.noc_latency_cycles);
-        tally_add(&mut self.packets_dropped, other.packets_dropped);
-        tally_add(&mut self.packets_delayed, other.packets_delayed);
-        tally_add(&mut self.packets_corrupted, other.packets_corrupted);
-        tally_add(&mut self.retransmits, other.retransmits);
-        tally_add(&mut self.core_stalls, other.core_stalls);
-        tally_add(&mut self.core_panics, other.core_panics);
-        tally_add(&mut self.link_timeouts, other.link_timeouts);
-        tally_add(&mut self.frames_recovered, other.frames_recovered);
+esam_obs::counters! {
+    /// Integer tallies of a mesh run: the single-core [`BatchTally`] plus the
+    /// interconnect's additions.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct MeshTally {
+        /// The tile-side tallies — identical to what the single-core walk
+        /// records for the same frames.
+        pub tiles: BatchTally,
+        /// Summed per-frame mesh bottlenecks: `max(core occupancies, link
+        /// cycles)` per frame. The pipelined-throughput numerator of the mesh
+        /// (compare [`BatchTally::bottleneck_cycles`], the single-core tile
+        /// bottleneck).
+        pub mesh_bottleneck_cycles: u64,
+        /// Summed per-frame critical-path interconnect cycles (hop +
+        /// serialization along the longest input → readout chain).
+        pub noc_latency_cycles: u64,
+        /// AER packets lost to injected link faults (consumer-side verdicts;
+        /// the affected frames are re-run on the recovery path).
+        pub packets_dropped: u64,
+        /// AER packets that took an injected congestion delay (the extra
+        /// cycles land in the NoC and bottleneck accumulators).
+        pub packets_delayed: u64,
+        /// Link transmission attempts whose payload took an injected
+        /// in-flight upset and was flagged by the consumer's CRC verify
+        /// (every one of them — a missed upset would abort the run).
+        pub packets_corrupted: u64,
+        /// NACK-triggered retransmissions issued after those CRC mismatches
+        /// (at most [`MAX_RETRANSMITS`](crate::MAX_RETRANSMITS) per hand-off
+        /// and edge; exhausting the budget loses the frame to the recovery
+        /// pass instead).
+        pub retransmits: u64,
+        /// Injected core stalls (extra occupancy cycles on the stalled
+        /// hand-off).
+        pub core_stalls: u64,
+        /// Core pipeline threads killed by injected panics. Pipelined
+        /// execution only; the count of *in-flight* work lost with a thread is
+        /// scheduling-dependent, so determinism suites must not compare this
+        /// field (everything else in the tally stays exact).
+        pub core_panics: u64,
+        /// Sink-side link timeouts that tripped the liveness backstop
+        /// ([`MeshConfig::link_timeout`](crate::MeshConfig::link_timeout)).
+        pub link_timeouts: u64,
+        /// Frames whose readout was lost mid-mesh and re-run on the
+        /// fault-exempt sequential recovery path.
+        pub frames_recovered: u64,
     }
 }
 
@@ -206,50 +185,5 @@ mod tests {
             sharded.merge(&fold(&tallies[split..]));
             prop_assert_eq!(sequential, sharded);
         }
-    }
-
-    #[test]
-    fn tally_merge_is_plain_addition() {
-        let mut a = MeshTally {
-            tiles: BatchTally {
-                frames: 2,
-                bottleneck_cycles: 20,
-                latency_cycles: 80,
-                ..BatchTally::default()
-            },
-            mesh_bottleneck_cycles: 22,
-            noc_latency_cycles: 10,
-            packets_dropped: 1,
-            packets_corrupted: 2,
-            retransmits: 2,
-            frames_recovered: 1,
-            ..MeshTally::default()
-        };
-        let b = MeshTally {
-            tiles: BatchTally {
-                frames: 3,
-                bottleneck_cycles: 33,
-                latency_cycles: 120,
-                ..BatchTally::default()
-            },
-            mesh_bottleneck_cycles: 36,
-            noc_latency_cycles: 15,
-            packets_dropped: 2,
-            packets_corrupted: 1,
-            retransmits: 1,
-            core_stalls: 4,
-            ..MeshTally::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.tiles.frames, 5);
-        assert_eq!(a.tiles.bottleneck_cycles, 53);
-        assert_eq!(a.tiles.latency_cycles, 200);
-        assert_eq!(a.mesh_bottleneck_cycles, 58);
-        assert_eq!(a.noc_latency_cycles, 25);
-        assert_eq!(a.packets_dropped, 3);
-        assert_eq!(a.packets_corrupted, 3);
-        assert_eq!(a.retransmits, 3);
-        assert_eq!(a.core_stalls, 4);
-        assert_eq!(a.frames_recovered, 1);
     }
 }

@@ -95,21 +95,6 @@ impl LinkStats {
         self.busy_cycles += cost;
         cost
     }
-
-    /// Adds another shard's counters for the *same* link into this one
-    /// (exact; debug-asserts the endpoints match).
-    pub fn merge(&mut self, other: &LinkStats) {
-        debug_assert_eq!((self.src, self.dst), (other.src, other.dst));
-        debug_assert_eq!(self.distance, other.distance);
-        self.frames += other.frames;
-        self.events += other.events;
-        self.hop_cycles += other.hop_cycles;
-        self.serialize_cycles += other.serialize_cycles;
-        self.crc_cycles += other.crc_cycles;
-        self.retransmits += other.retransmits;
-        self.retransmit_cycles += other.retransmit_cycles;
-        self.busy_cycles += other.busy_cycles;
-    }
 }
 
 #[cfg(test)]
@@ -132,30 +117,6 @@ mod tests {
         assert_eq!(stats.hop_cycles, 12);
         assert_eq!(stats.serialize_cycles, 4);
         assert_eq!(stats.busy_cycles, 16);
-    }
-
-    #[test]
-    fn merge_is_plain_addition() {
-        let link = LinkConfig::paper_default();
-        let mut a = LinkStats::new(1, 2, 1);
-        a.charge(&link, 40);
-        a.charge_crc();
-        let mut b = LinkStats::new(1, 2, 1);
-        b.charge(&link, 100);
-        b.charge(&link, 0);
-        b.charge_retransmit(&link, 100);
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.frames, 3);
-        assert_eq!(merged.events, 140);
-        assert_eq!(merged.crc_cycles, LinkStats::CRC_CHECK_CYCLES);
-        assert_eq!(merged.retransmits, 1);
-        assert_eq!(merged.retransmit_cycles, b.retransmit_cycles);
-        assert_eq!(
-            merged.busy_cycles,
-            a.busy_cycles + b.busy_cycles,
-            "busy cycles sum exactly"
-        );
     }
 
     #[test]

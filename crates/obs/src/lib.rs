@@ -27,6 +27,10 @@
 //!   stable `(pid, tid)` ids, and all counters fold with [`tally_add`].
 //!   The merged cycle-domain trace is identical at any thread count that
 //!   produces the same logical schedule.
+//! * **Counters defined once** ([`counters!`]). One doc-commented field
+//!   list declares a tally's struct, its saturating `merge` and a
+//!   [`Tally`] visitor over its `(name, value)` pairs, which exporters
+//!   read instead of naming each field.
 //! * **One metrics API** ([`MetricsRegistry`]). Counters, gauges and
 //!   histograms behind a single registry with deterministic (sorted)
 //!   iteration, Prometheus text exposition and hand-rolled JSON
@@ -59,10 +63,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod hist;
 pub mod registry;
 pub mod trace;
 
+pub use counters::Tally;
 pub use hist::Histogram;
 pub use registry::{Metric, MetricsRegistry};
 pub use trace::{
@@ -73,8 +79,9 @@ pub use trace::{
 /// Adds `add` into the counter `dst` under the workspace tally merge law:
 /// saturating in release builds (a pegged counter beats a wrapped one),
 /// with a debug assertion so overflow is loud in development and test
-/// builds. All tally `merge` impls (`BatchTally`, `MeshTally`,
-/// `FaultTally`) and the [`MetricsRegistry`] fold counters through this.
+/// builds. Every counter set declared with [`counters!`], and so every
+/// tally `merge` in the workspace, folds its fields through this, as do
+/// the [`MetricsRegistry`] and the [`Trace`] totals.
 #[inline]
 pub fn tally_add(dst: &mut u64, add: u64) {
     debug_assert!(

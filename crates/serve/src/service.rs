@@ -239,34 +239,22 @@ struct BatchSamples {
     cycles: u64,
 }
 
-/// Request and resilience counters a worker accumulates per batch and
-/// merges into the shared collector with the latency samples — plain u64
-/// sums, so the shutdown fold obeys the same exact merge law as every
-/// other counter in the stack.
-#[derive(Debug, Default)]
-struct WorkerCounters {
-    completed: u64,
-    failed: u64,
-    batches: u64,
-    batched_requests: u64,
-    worker_restarts: u64,
-    retries: u64,
-    deadline_shed: u64,
-    worker_stalls: u64,
-    quarantines: u64,
-}
-
-impl WorkerCounters {
-    fn merge(&mut self, other: &Self) {
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
-        self.worker_restarts += other.worker_restarts;
-        self.retries += other.retries;
-        self.deadline_shed += other.deadline_shed;
-        self.worker_stalls += other.worker_stalls;
-        self.quarantines += other.quarantines;
+esam_obs::counters! {
+    /// Request and resilience counters a worker accumulates per batch and
+    /// merges into the shared collector with the latency samples — plain u64
+    /// sums, so the shutdown fold obeys the same exact merge law as every
+    /// other counter in the stack.
+    #[derive(Debug, Default)]
+    struct WorkerCounters {
+        completed: u64,
+        failed: u64,
+        batches: u64,
+        batched_requests: u64,
+        worker_restarts: u64,
+        retries: u64,
+        deadline_shed: u64,
+        worker_stalls: u64,
+        quarantines: u64,
     }
 }
 
@@ -343,8 +331,8 @@ impl EsamService {
         // dimensions), so installation cannot fail; if it somehow does,
         // serve unfaulted rather than crash the caller.
         let _ = template.set_fault_plan(config.faults);
-        // After the plan (stuck bits fold into the codewords and golden
-        // image), before the worker clones (clones share both).
+        // Before the worker clones, so clones share the codewords and
+        // golden image.
         template.set_integrity_mode(config.integrity);
         // One wall epoch for the whole service, so worker tracks line up.
         let epoch = Instant::now();

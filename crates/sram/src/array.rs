@@ -43,37 +43,26 @@ use crate::error::SramError;
 use crate::timing::TimingAnalysis;
 use esam_tech::units::Joules;
 
-/// Operation counters for energy reconstruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AccessStats {
-    /// Row activations on inference ports.
-    pub inference_reads: u64,
-    /// Total zero-bits returned by inference reads (each discharges an RBL).
-    pub inference_zero_bits: u64,
-    /// RW-port read cycles (transposed reads for multiport cells, row reads
-    /// for the 6T baseline).
-    pub rw_read_cycles: u64,
-    /// RW-port write cycles.
-    pub rw_write_cycles: u64,
+esam_obs::counters! {
+    /// Operation counters for energy reconstruction.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct AccessStats {
+        /// Row activations on inference ports.
+        pub inference_reads: u64,
+        /// Total zero-bits returned by inference reads (each discharges an RBL).
+        pub inference_zero_bits: u64,
+        /// RW-port read cycles (transposed reads for multiport cells, row reads
+        /// for the 6T baseline).
+        pub rw_read_cycles: u64,
+        /// RW-port write cycles.
+        pub rw_write_cycles: u64,
+    }
 }
 
 impl AccessStats {
     /// Sum of all port activities (any kind of cycle).
     pub fn total_accesses(&self) -> u64 {
         self.inference_reads + self.rw_read_cycles + self.rw_write_cycles
-    }
-
-    /// Adds another counter set into this one.
-    ///
-    /// Counters are plain sums over accesses, so merging shards of a
-    /// partitioned workload is exact (`u64` addition is associative and
-    /// commutative): any interleaving of accesses across shards produces the
-    /// same merged counters as running the whole workload on one array.
-    pub fn merge(&mut self, other: &AccessStats) {
-        self.inference_reads += other.inference_reads;
-        self.inference_zero_bits += other.inference_zero_bits;
-        self.rw_read_cycles += other.rw_read_cycles;
-        self.rw_write_cycles += other.rw_write_cycles;
     }
 }
 

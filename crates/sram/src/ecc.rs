@@ -39,7 +39,6 @@
 //! | ≠0      | clean | double-bit error — detected, **not** miscorrected |
 
 use esam_bits::{BitMatrix, BitVec};
-use esam_obs::tally_add;
 
 /// How the read path treats the per-row SECDED codewords.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,41 +63,32 @@ impl IntegrityMode {
     }
 }
 
-/// Integrity event counters, merged under the workspace's exact u64 law
-/// (plain sums — bit-identical at any thread or core count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IntegrityTally {
-    /// Row reads that went through the syndrome check.
-    pub checked_reads: u64,
-    /// Single-bit (correctable) errors observed on reads. Under
-    /// [`IntegrityMode::Correct`] the delivered bits were repaired; under
-    /// [`IntegrityMode::Detect`] the error was only counted.
-    pub corrected: u64,
-    /// Double-bit (detected-uncorrectable) errors observed on reads.
-    pub detected: u64,
-    /// Corruption the codeword could *not* see (verdict `Clean`, content
-    /// wrong), found by the scrub pass's golden audit. SECDED guarantees
-    /// this stays zero for ≤ 2 flipped bits per row.
-    pub silent: u64,
-    /// Rows healed in place by the scrub pass (single-bit errors).
-    pub scrub_corrected: u64,
-    /// Rows the scrub pass had to reload from the golden store
-    /// (uncorrectable or silent corruption).
-    pub scrub_reloaded: u64,
+esam_obs::counters! {
+    /// Integrity event counters, merged under the workspace's exact u64 law
+    /// (plain sums — bit-identical at any thread or core count).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct IntegrityTally {
+        /// Row reads that went through the syndrome check.
+        pub checked_reads: u64,
+        /// Single-bit (correctable) errors observed on reads. Under
+        /// [`IntegrityMode::Correct`] the delivered bits were repaired; under
+        /// [`IntegrityMode::Detect`] the error was only counted.
+        pub corrected: u64,
+        /// Double-bit (detected-uncorrectable) errors observed on reads.
+        pub detected: u64,
+        /// Corruption the codeword could *not* see (verdict `Clean`, content
+        /// wrong), found by the scrub pass's golden audit. SECDED guarantees
+        /// this stays zero for ≤ 2 flipped bits per row.
+        pub silent: u64,
+        /// Rows healed in place by the scrub pass (single-bit errors).
+        pub scrub_corrected: u64,
+        /// Rows the scrub pass had to reload from the golden store
+        /// (uncorrectable or silent corruption).
+        pub scrub_reloaded: u64,
+    }
 }
 
 impl IntegrityTally {
-    /// Adds another tally's counts into this one (exact integer sums;
-    /// saturating in release, loud in debug — see [`esam_obs::tally_add`]).
-    pub fn merge(&mut self, other: &IntegrityTally) {
-        tally_add(&mut self.checked_reads, other.checked_reads);
-        tally_add(&mut self.corrected, other.corrected);
-        tally_add(&mut self.detected, other.detected);
-        tally_add(&mut self.silent, other.silent);
-        tally_add(&mut self.scrub_corrected, other.scrub_corrected);
-        tally_add(&mut self.scrub_reloaded, other.scrub_reloaded);
-    }
-
     /// Uncorrectable events: detected-uncorrectable reads plus golden
     /// reloads — the signal the serving layer's health monitor folds into
     /// quarantine decisions.
@@ -499,30 +489,13 @@ mod tests {
     }
 
     #[test]
-    fn tally_merge_is_plain_addition() {
-        let mut a = IntegrityTally {
-            checked_reads: 10,
-            corrected: 3,
-            detected: 1,
-            silent: 0,
-            scrub_corrected: 2,
-            scrub_reloaded: 1,
+    fn uncorrectable_sums_detected_reads_and_reloads() {
+        let tally = IntegrityTally {
+            detected: 3,
+            scrub_reloaded: 5,
+            ..IntegrityTally::default()
         };
-        a.merge(&IntegrityTally {
-            checked_reads: 5,
-            corrected: 1,
-            detected: 2,
-            silent: 1,
-            scrub_corrected: 0,
-            scrub_reloaded: 4,
-        });
-        assert_eq!(a.checked_reads, 15);
-        assert_eq!(a.corrected, 4);
-        assert_eq!(a.detected, 3);
-        assert_eq!(a.silent, 1);
-        assert_eq!(a.scrub_corrected, 2);
-        assert_eq!(a.scrub_reloaded, 5);
-        assert_eq!(a.uncorrectable(), 3 + 5);
+        assert_eq!(tally.uncorrectable(), 3 + 5);
     }
 
     #[test]
