@@ -132,11 +132,9 @@ impl SystemConfig {
 ///
 /// `threads` is the number of worker pipelines (independent clones of the
 /// tile cascade, mirroring how the multi-core architectures the paper's
-/// related work replicates compute tiles); `chunk_size` is the number of
-/// consecutive frames a worker claims from the shared queue at a time.
-/// Neither parameter affects *results* — the engine's counter merge is
-/// exact for any partition (see [`TileStats::merge`](crate::TileStats)) —
-/// only wall-clock scheduling.
+/// related work replicates compute tiles). It does not affect *results* —
+/// the engine's counter merge is exact for any partition (see
+/// [`TileStats::merge`](crate::TileStats)) — only wall-clock scheduling.
 ///
 /// # Examples
 ///
@@ -152,17 +150,15 @@ impl SystemConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     threads: usize,
-    chunk_size: usize,
 }
 
 impl BatchConfig {
-    /// A plan using `threads` workers and automatic chunk sizing.
+    /// A plan using `threads` workers.
     ///
     /// `threads` is clamped to at least 1.
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            chunk_size: 0,
         }
     }
 
@@ -171,29 +167,9 @@ impl BatchConfig {
         Self::with_threads(1)
     }
 
-    /// Sets the number of consecutive frames a worker claims at a time
-    /// (0 = automatic: balances queue contention against tail latency).
-    pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size;
-        self
-    }
-
     /// Number of worker pipelines.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Frames claimed per queue pop; resolves the automatic setting for a
-    /// batch of `frames` frames served by `workers` worker pipelines (which
-    /// may be fewer than [`threads`](Self::threads) — the engine clamps
-    /// state-carrying workloads to one worker).
-    pub fn effective_chunk_size(&self, frames: usize, workers: usize) -> usize {
-        if self.chunk_size > 0 {
-            return self.chunk_size;
-        }
-        // Automatic: ~4 chunks per worker bounds idle tails at the end of
-        // the batch while keeping queue traffic negligible.
-        (frames / (workers.max(1) * 4)).max(1)
     }
 }
 

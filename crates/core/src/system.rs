@@ -203,6 +203,16 @@ impl EsamSystem {
         &self.pipeline
     }
 
+    /// Whether each inference is independent of the frames before it: true
+    /// for the default `EveryTimestep` reset (membranes start every
+    /// timestep from zero), false when membranes integrate across
+    /// timesteps. Only then may frames run on parallel clones — the
+    /// [`BatchEngine`](crate::BatchEngine) and the serving layer clamp to
+    /// one worker otherwise.
+    pub fn frames_are_independent(&self) -> bool {
+        self.config.neuron().reset_policy() == esam_neuron::ResetPolicy::EveryTimestep
+    }
+
     /// Runs one inference through the cascade.
     ///
     /// Hidden tiles drain their request registers and fire; the output tile
@@ -253,8 +263,11 @@ impl EsamSystem {
     /// codewords and golden image, so the scrub keeps them too, whichever
     /// of this and [`set_integrity_mode`](Self::set_integrity_mode) comes
     /// first. Transient faults (weight/membrane flips) take effect in
-    /// [`infer_checked`](Self::infer_checked); serve-/mesh-domain rates are
-    /// carried but injected by those layers.
+    /// [`infer_checked`](Self::infer_checked), and so in every batch path
+    /// built on it: [`measure_batch`](Self::measure_batch) and the
+    /// [`BatchEngine`](crate::BatchEngine)'s `infer_batch` and `measure`
+    /// apply them keyed on each frame's batch index. Serve-/mesh-domain
+    /// rates are carried but injected by those layers.
     ///
     /// Install the plan **before** cloning worker systems so every clone
     /// shares the same stuck-at weights and plan.
@@ -599,7 +612,11 @@ impl EsamSystem {
     /// This is the sequential reference path; it shares its accumulation
     /// (`run_frames`) and finalization (`finalize_metrics`) with the
     /// parallel engine, which is why [`BatchEngine::measure`] is
-    /// bit-identical to it at any thread count.
+    /// bit-identical to it at any thread count. Frames run through
+    /// [`infer_checked`](Self::infer_checked) keyed on their batch index,
+    /// so an installed fault plan's transients apply exactly as in
+    /// `BatchEngine::infer_batch`; with none installed that is plain
+    /// [`infer`](Self::infer).
     ///
     /// [`BatchEngine::measure`]: crate::BatchEngine::measure
     ///
@@ -614,21 +631,26 @@ impl EsamSystem {
             ));
         }
         self.reset_stats();
-        let tally = self.run_frames(frames)?;
+        let tally = self.run_frames(frames, 0)?;
         self.finalize_metrics(&tally)
     }
 
     /// Accumulation core shared by the sequential and parallel paths: runs
-    /// every frame, tallying cycle counts (activity counters accumulate in
-    /// the tiles as a side effect of [`infer`](Self::infer)).
+    /// every frame through [`infer_checked`](Self::infer_checked), frame
+    /// `i` keyed on batch index `first_id + i`, tallying cycle counts
+    /// (activity counters accumulate in the tiles as a side effect).
     ///
     /// # Errors
     ///
     /// Propagates per-frame inference errors.
-    pub(crate) fn run_frames(&mut self, frames: &[BitVec]) -> Result<BatchTally, CoreError> {
+    pub(crate) fn run_frames(
+        &mut self,
+        frames: &[BitVec],
+        first_id: u64,
+    ) -> Result<BatchTally, CoreError> {
         let mut tally = BatchTally::default();
-        for frame in frames {
-            let result = self.infer(frame)?;
+        for (id, frame) in (first_id..).zip(frames) {
+            let result = self.infer_checked(frame, id)?;
             tally.record(&result);
         }
         Ok(tally)
@@ -657,7 +679,8 @@ impl EsamSystem {
     /// Results — predictions, logits, membranes, output spikes, per-tile
     /// cycle counts *and every activity counter* — are bit-identical to
     /// looping [`infer`](Self::infer) over the same frames in order
-    /// (property-tested in `tests/bitslice_equivalence.rs`). When the
+    /// (pinned by the workspace's execution matrix,
+    /// `tests/execution_matrix.rs`). When the
     /// system state or configuration rules the block path out (a tile that
     /// is not [`block_ready`](Tile::block_ready), planned transient faults
     /// or integrity checking), the frames run through the sequential walk

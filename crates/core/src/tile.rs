@@ -1067,7 +1067,8 @@ impl Tile {
     /// ([`block_ready`](Self::block_ready)) —
     /// [`EsamSystem::infer_block`](crate::EsamSystem::infer_block) checks
     /// them and falls back to the sequential walk otherwise. Equivalence is
-    /// property-tested in `tests/bitslice_equivalence.rs`.
+    /// pinned by the workspace's execution matrix,
+    /// `tests/execution_matrix.rs`.
     ///
     /// # Errors
     ///

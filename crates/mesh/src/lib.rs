@@ -19,9 +19,10 @@
 //! construction), and both reproduce the plain single-core system's
 //! outputs exactly. Cores hand each other up to 64 consecutive frames per
 //! packet and walk each frame with the single-core cascade walk, so
-//! eligible tiles run the closed-form frame kernel. See
-//! `tests/mesh_equivalence.rs` for the pinned contract and `crate::system`
-//! for the hand-off format and the accounting model.
+//! eligible tiles run the closed-form frame kernel. The workspace's
+//! execution matrix (`tests/execution_matrix.rs` at the repository root)
+//! pins the contract; see `crate::system` for the hand-off format and the
+//! accounting model.
 //!
 //! The mesh is also *fault-tolerant*: a deterministic
 //! [`FaultPlan`] installed via

@@ -61,8 +61,9 @@
 //! identical; tile counters additionally match
 //! tile-for-tile whenever the plan is layer-granular (column-split shards
 //! own private arbiters, so arbiter-side counters physically duplicate
-//! per shard while per-array access counters partition exactly). The
-//! `mesh_equivalence` battery pins all of this.
+//! per shard while per-array access counters partition exactly. The
+//! workspace's execution matrix (`tests/execution_matrix.rs`) pins all of
+//! this at 1, 2, 4 and 7 cores.
 //!
 //! # Resilience
 //!
@@ -1292,30 +1293,6 @@ mod tests {
             mesh.tally().mesh_bottleneck_cycles,
             mesh.tally().tiles.latency_cycles
         );
-    }
-
-    #[test]
-    fn pipelined_matches_sequential_and_plain_outputs() {
-        let (model, config) = build(&[128, 64, 32, 10], 9);
-        let batch = frames(128, 17);
-        let mut plain = EsamSystem::from_model(&model, &config).unwrap();
-        let expected: Vec<_> = batch.iter().map(|f| plain.infer(f).unwrap()).collect();
-        for cores in [2usize, 3] {
-            let sequential_config = MeshConfig::with_cores(cores).execution(Execution::Sequential);
-            let mut sequential =
-                MeshSystem::from_model(&model, &config, &sequential_config).unwrap();
-            let sequential_results = sequential.run(&batch).unwrap();
-            let pipelined_config = MeshConfig::with_cores(cores);
-            let mut pipelined = MeshSystem::from_model(&model, &config, &pipelined_config).unwrap();
-            let pipelined_results = pipelined.run(&batch).unwrap();
-            assert_eq!(sequential_results, expected, "{cores} cores vs plain");
-            assert_eq!(pipelined_results, expected, "{cores} cores pipelined");
-            assert_eq!(
-                sequential.tally(),
-                pipelined.tally(),
-                "{cores} cores tallies"
-            );
-        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! the [`IntegrityTally`] observed after each
 //! unit of work and, once the uncorrectable count inside the current
 //! observation window crosses the [`HealthPolicy`] limit, tells the
-//! supervisor to quarantine: bank the worker's counters, drop the
-//! instance, and re-clone it from the pristine template — the same
-//! restart machinery that already contains worker panics.
+//! supervisor to quarantine, which counts and traces the event. The
+//! instance needs no replacing: the scrub after every checked frame has
+//! already reloaded its arrays from the pristine image, and its counters
+//! are banked after every request.
 //!
 //! The monitor is pure bookkeeping over exact `u64` counters, so the
 //! quarantine schedule is as deterministic as the fault plan that drives
@@ -55,12 +56,12 @@ impl Default for HealthPolicy {
 pub enum HealthVerdict {
     /// Keep serving on this instance.
     Healthy,
-    /// Drain and re-clone the worker from the pristine template.
+    /// The worker crossed the limit: count and trace a quarantine.
     Quarantine,
 }
 
 /// Per-worker health state: a sliding tally of uncorrectable integrity
-/// events since the worker was (re-)cloned.
+/// events since the worker's last quarantine.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     policy: HealthPolicy,
@@ -69,7 +70,7 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A fresh monitor for a newly cloned worker.
+    /// A fresh monitor for a newly started worker.
     pub fn new(policy: HealthPolicy) -> Self {
         Self {
             policy,
@@ -82,9 +83,9 @@ impl HealthMonitor {
     /// (the counters are banked and reset between observations, so each
     /// call sees a disjoint delta). Returns
     /// [`HealthVerdict::Quarantine`] when the accumulated uncorrectable
-    /// count reaches the policy limit, and resets the window — the
-    /// caller re-clones the worker, so the next observation starts from
-    /// pristine hardware.
+    /// count reaches the policy limit, and resets the window — the scrub
+    /// has already restored the worker's arrays, so the next observation
+    /// starts from pristine hardware.
     pub fn observe(&mut self, tally: &IntegrityTally) -> HealthVerdict {
         self.window = self.window.saturating_add(tally.uncorrectable());
         if self.window >= self.policy.limit() {
@@ -145,7 +146,7 @@ mod tests {
             HealthVerdict::Quarantine
         );
         assert_eq!(monitor.quarantines(), 1);
-        // The window resets with the re-cloned worker.
+        // The window resets after a quarantine.
         assert_eq!(
             monitor.observe(&uncorrectable(2, 0)),
             HealthVerdict::Healthy

@@ -20,12 +20,19 @@
 //! it amortizes the queue pop and the metrics flush.
 //!
 //! Results are **bit-identical** to calling
-//! [`EsamSystem::infer`](esam_core::EsamSystem::infer) sequentially on the
-//! same frames: with the default every-timestep reset each inference starts
-//! from reset membranes and weights are read-only, so neither the worker
-//! count, the batch composition, nor the admission policy can influence a
-//! response (pinned across worker counts and policies by
-//! `tests/determinism.rs`).
+//! [`EsamSystem::infer_checked`](esam_core::EsamSystem::infer_checked)
+//! sequentially on the same frames, keyed on their request ids: weights
+//! are restored after every frame, and a system whose membranes carry from
+//! frame to frame ([`EsamSystem::frames_are_independent`] is false) is
+//! served by one worker, the way the
+//! [`BatchEngine`](esam_core::BatchEngine) clamps itself. Neither the
+//! worker count, the batch composition, the admission policy nor the
+//! health policy can influence a response (pinned across worker counts and
+//! policies by the workspace's execution matrix,
+//! `tests/execution_matrix.rs`). The one exception is a worker panic on
+//! such a state-carrying system: the restart re-clones the worker from the
+//! template, which resets the membranes it carried, so its later responses
+//! leave the sequential walk.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -315,6 +322,14 @@ impl EsamService {
     /// advance; the workers' clones count, and are folded back into the
     /// [`ServiceReport`] at shutdown).
     ///
+    /// A system whose frames are not independent
+    /// ([`EsamSystem::frames_are_independent`]) carries membranes from one
+    /// request to the next, so it gets **one** worker whatever
+    /// [`ServeConfig::workers`] asks for: requests then run in submission
+    /// order, as the sequential walk runs them. Such a service stays
+    /// bit-identical to the sequential walk only while no worker panics: a
+    /// restart re-clones the worker and so resets its membranes.
+    ///
     /// Thread-spawn failure is non-fatal: the service runs with however
     /// many workers came up. If *none* did, intake closes immediately so
     /// [`submit`](Self::submit) fails with [`ServeError::ShuttingDown`]
@@ -336,8 +351,12 @@ impl EsamService {
         template.set_integrity_mode(config.integrity);
         // One wall epoch for the whole service, so worker tracks line up.
         let epoch = Instant::now();
-        let handles: Vec<JoinHandle<(EsamSystem, BatchTally, Option<TrackTrace>)>> = (0..config
-            .workers)
+        let workers = if system.frames_are_independent() {
+            config.workers
+        } else {
+            1
+        };
+        let handles: Vec<JoinHandle<(EsamSystem, BatchTally, Option<TrackTrace>)>> = (0..workers)
             .filter_map(|index| {
                 let worker = template.clone();
                 let queue = Arc::clone(&queue);
@@ -475,6 +494,7 @@ impl EsamService {
     /// resolved when this returns.
     pub fn shutdown(mut self) -> ServiceReport {
         self.queue.close();
+        let workers = self.handles.len();
         let mut tally = BatchTally::default();
         let mut trace = Trace::new();
         if self.config.trace.is_enabled() {
@@ -524,7 +544,7 @@ impl EsamService {
         let clock_period = self.reference.pipeline().clock_period();
         let cycles = CycleSummary::from_histogram(&metrics.cycles);
         ServiceReport {
-            workers: self.config.workers,
+            workers,
             queue_capacity: self.config.queue_capacity,
             admission: self.config.admission,
             batch_policy: self.config.batch,
@@ -655,8 +675,10 @@ fn fulfil(
 ///
 /// Each request of a batch is one supervised unit (see the module docs):
 /// stall/panic injection, execution under one `catch_unwind`, banking,
-/// fulfilment — and a panic or a quarantine verdict ends it with a
-/// re-clone from the template.
+/// fulfilment — and a panic ends it with a re-clone from the template. A
+/// quarantine verdict is counted and traced; the worker keeps serving,
+/// since every checked frame's scrub has already reloaded its arrays from
+/// the pristine image (see [`crate::health`]).
 ///
 /// Supervision model: `template` is the pristine (fault-plan-installed)
 /// pipeline the worker restarts from. Execution runs on a `working` clone;
@@ -745,7 +767,7 @@ fn worker_loop(
                     .map_err(|error| ServeError::Worker(error.to_string()))
             }));
             let request_id = request.id;
-            let restart = match run {
+            match run {
                 Ok(outcome) => {
                     // Health reads the request's integrity delta off the
                     // working clone *before* banking zeroes it.
@@ -764,17 +786,15 @@ fn worker_loop(
                         track.as_mut(),
                     );
                     // Quarantine: the worker's arrays take too many
-                    // uncorrectable hits, so drain it (its counters are
-                    // already banked, its ticket resolved) through the
-                    // same re-clone that contains panics.
-                    let quarantine = verdict == Some(HealthVerdict::Quarantine);
-                    if quarantine {
+                    // uncorrectable hits. The scrub has already reloaded
+                    // them from the pristine image, so it is a ledger
+                    // entry, not a restart.
+                    if verdict == Some(HealthVerdict::Quarantine) {
                         counts.quarantines += 1;
                         if let Some(track) = track.as_mut() {
                             track.instant("quarantine", [Some(("request", request_id)), None]);
                         }
                     }
-                    quarantine
                 }
                 Err(_) => {
                     counts.worker_restarts += 1;
@@ -802,13 +822,10 @@ fn worker_loop(
                             .complete(Err(ServeError::RetriesExhausted { attempts }));
                         counts.failed += 1;
                     }
-                    true
+                    // The unwound attempt left `working` mid-frame.
+                    working = template.clone();
+                    working.reset_stats();
                 }
-            };
-            if restart {
-                // The one re-clone, shared by restart and quarantine.
-                working = template.clone();
-                working.reset_stats();
             }
         }
         let done = Instant::now();
@@ -830,7 +847,9 @@ fn worker_loop(
 /// ([`EsamService::shutdown`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
-    /// Worker pipelines that served the traffic.
+    /// Worker pipelines that served the traffic: [`ServeConfig::workers`]
+    /// (one for a system whose frames are not independent), fewer only
+    /// when thread spawns failed.
     pub workers: usize,
     /// Queue capacity (admission boundary).
     pub queue_capacity: usize,
@@ -874,8 +893,9 @@ pub struct ServiceReport {
     pub energy_per_request: Option<Joules>,
     /// Full modeled-silicon metrics over the served traffic — identical in
     /// derivation to [`EsamSystem::measure_batch`](esam_core::EsamSystem)
-    /// over the same frames (`None` when nothing completed, or when the
-    /// fold failed — see [`modeling_error`](Self::modeling_error)).
+    /// over the same frames, request id `i` as batch index `i`, transient
+    /// faults included (`None` when nothing completed, or when the fold
+    /// failed — see [`modeling_error`](Self::modeling_error)).
     pub modeled: Option<SystemMetrics>,
     /// Why [`modeled`](Self::modeled) is absent despite completed traffic
     /// (a propagated energy-model error), `None` on the happy path.
@@ -891,10 +911,11 @@ pub struct ServiceReport {
     pub deadline_shed: u64,
     /// Injected worker stalls served through (latency faults, not errors).
     pub worker_stalls: u64,
-    /// Workers drained and re-cloned from the pristine template because
-    /// their uncorrectable-event count crossed the [`HealthPolicy`]
-    /// limit (the last rung of the integrity ladder; zero unless
-    /// [`ServeConfig::integrity`] checking is on).
+    /// Times a worker's uncorrectable-event count crossed the
+    /// [`HealthPolicy`] limit (the last rung of the integrity ladder; zero
+    /// unless [`ServeConfig::integrity`] checking is on). Each is counted
+    /// and traced; the worker serves on, its arrays already reloaded from
+    /// the pristine image by the scrub.
     pub quarantines: u64,
     /// SRAM-domain fault injections folded from the worker pipelines
     /// (transient weight flips and membrane upsets actually applied).
@@ -1046,27 +1067,6 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("throughput"));
         assert!(text.contains("p99"));
-    }
-
-    #[test]
-    fn report_matches_offline_measurement_of_the_same_frames() {
-        // The modeled fold must equal measure_batch on the same frames —
-        // the serving layer adds no modeling drift.
-        let frames: Vec<BitVec> = (0..30).map(frame).collect();
-        let mut offline = small_system();
-        let expected = offline.measure_batch(&frames).unwrap();
-
-        let service = EsamService::start(&small_system(), ServeConfig::with_workers(3));
-        let tickets: Vec<Ticket> = frames
-            .iter()
-            .map(|f| service.submit(f.clone()).expect("admitted"))
-            .collect();
-        for ticket in tickets {
-            ticket.wait().expect("served");
-        }
-        let report = service.shutdown();
-        assert_eq!(report.modeled, Some(expected));
-        assert_eq!(report.energy_per_request.unwrap(), expected.energy_per_inf);
     }
 
     #[test]

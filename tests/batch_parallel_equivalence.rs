@@ -61,19 +61,6 @@ proptest! {
     }
 
     #[test]
-    fn chunk_size_never_affects_results(
-        seed in 0u64..500,
-        batch in batch_strategy(96, 20),
-        chunk in 1usize..32,
-    ) {
-        let mut reference = system(seed, BitcellKind::multiport(2).unwrap());
-        let sequential = reference.measure_batch(&batch).expect("sequential measure");
-        let config = BatchConfig::with_threads(3).chunk_size(chunk);
-        let mut engine = BatchEngine::new(&system(seed, BitcellKind::multiport(2).unwrap()), &config);
-        prop_assert_eq!(engine.measure(&batch).expect("engine measure"), sequential);
-    }
-
-    #[test]
     fn parallel_infer_batch_matches_sequential_order(
         seed in 0u64..500,
         batch in batch_strategy(96, 16),
@@ -85,7 +72,7 @@ proptest! {
             .collect();
         let mut engine = BatchEngine::new(
             &system(seed, BitcellKind::multiport(4).unwrap()),
-            &BatchConfig::with_threads(4).chunk_size(2),
+            &BatchConfig::with_threads(4),
         );
         let got = engine.infer_batch(&batch).expect("parallel inference");
         prop_assert_eq!(got, expected);
